@@ -9,6 +9,7 @@ out-of-band DFT content of ``y`` equals that of ``-p``.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -34,6 +35,7 @@ class OobOperator:
 
     Row ``m`` applies ``sum_k exp(-j 2 pi m k / K) x[k]``; the selection
     keeps bins whose frequency magnitude exceeds ``omega_max * (1 + guard)``.
+    The bins are read-only: solvers cache factors of these rows.
     """
 
     K: int
@@ -41,6 +43,9 @@ class OobOperator:
     fs: float
     guard: float
     selected_bins: np.ndarray
+
+    def __post_init__(self):
+        self.selected_bins.setflags(write=False)
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         return np.fft.fft(x, axis=0)[self.selected_bins]
@@ -141,12 +146,20 @@ class B2R2Options:
     max_iters: int = 5000
 
 
-def _ls_solve(oob: OobOperator, columns: np.ndarray, rhs: np.ndarray,
-              rcond: float) -> np.ndarray:
-    A = oob.rows_for(columns)
-    b = np.vstack([rhs.real, rhs.imag])
-    sol, *_ = np.linalg.lstsq(A, b, rcond=rcond)
-    return sol
+@functools.lru_cache(maxsize=32)
+def _window_factor(K: int, omega_max: float, fs: float, guard: float,
+                   margin: int):
+    """Thin QR ``A_W = Q R`` of the out-of-band rows on the window [margin, K).
+
+    ``A_W`` depends only on these scalars, so one factor serves every trial
+    and every round at one oversampling factor. Returns the bins it was
+    built for with read-only ``Q`` and ``R``.
+    """
+    oob = build_oob_operator(K, omega_max, fs, guard)
+    Q, R = np.linalg.qr(oob.rows_for(np.arange(margin, K)))
+    Q.setflags(write=False)
+    R.setflags(write=False)
+    return oob.selected_bins, Q, R
 
 
 def _b2r2_lstsq(y, lattice, oob, opts: B2R2Options):
@@ -155,20 +168,37 @@ def _b2r2_lstsq(y, lattice, oob, opts: B2R2Options):
     Rows whose solution sits close to a lattice point are committed and
     moved to the data side; the remaining support is re-solved. This stops
     when everything is committed or no row is confident.
+
+    The offsets are supported on the window W = [margin, K). With the thin
+    QR ``A_W = Q R`` of the real-stacked out-of-band rows on W (``Q`` has
+    orthonormal columns), ``Q^T A_S = R[:, S]`` for every column subset S,
+    and the part of the data outside range(Q) does not depend on the
+    unknowns. So ``min |A_S x + b|`` and ``min |R[:, S] x + Q^T b|`` have
+    the same minimizer, and ``R[:, S]`` has the singular values of ``A_S``,
+    which keeps the ``rcond`` truncation of ``lstsq``. Every round solves
+    the small |W|-row system; the DFT rows are built and factored once per
+    window. Normal equations (the Gram matrix ``A^T A``) would square
+    cond(A), which reaches about 8.6e6 at oversampling 2.
     """
     K = oob.K
     margin = max(0, min(opts.support_margin, K - 1))
+    bins, Q, R = _window_factor(K, oob.omega_max, oob.fs, oob.guard, margin)
+    if not np.array_equal(bins, oob.selected_bins):     # hand-built bin set
+        Q, R = np.linalg.qr(oob.rows_for(np.arange(margin, K)))
     Fy = oob.apply(y)
-    unknown = np.zeros(K, dtype=bool)
-    unknown[margin:] = True
+    c0 = -Q.T @ np.vstack([Fy.real, Fy.imag])
+    unknown = np.ones(K - margin, dtype=bool)    # over the window
     p_fix = np.zeros_like(y)
+    p_win = p_fix[margin:]                       # view: commits land in p_fix
+
+    def solve(idx):
+        sol, *_ = np.linalg.lstsq(R[:, idx], c0 - R @ p_win, rcond=opts.rcond)
+        return sol
+
     rounds = 0
     for rounds in range(1, opts.max_rounds + 1):
-        idx = np.where(unknown)[0]
-        if idx.size == 0:
-            break
-        rhs = -(Fy + oob.apply(p_fix))
-        sol = _ls_solve(oob, idx, rhs, opts.rcond)
+        idx = np.flatnonzero(unknown)       # never empty: a full commit breaks
+        sol = solve(idx)
         if not np.all(np.isfinite(sol)):
             raise RecoveryNumericalError(rounds)
         q = nearest_point(sol, lattice)
@@ -178,16 +208,14 @@ def _b2r2_lstsq(y, lattice, oob, opts: B2R2Options):
             # rows outside the known dynamic range cannot be trusted yet
             confident &= np.abs(sol).max(axis=1) <= opts.bound
         if not confident.any() or confident.all():
-            p_fix[idx] = q
+            p_win[idx] = q
             unknown[idx] = False
             break
-        p_fix[idx[confident]] = q[confident]
+        p_win[idx[confident]] = q[confident]
         unknown[idx[confident]] = False
     if unknown.any():                       # round budget exhausted: commit rest
-        idx = np.where(unknown)[0]
-        rhs = -(Fy + oob.apply(p_fix))
-        sol = _ls_solve(oob, idx, rhs, opts.rcond)
-        p_fix[idx] = nearest_point(sol, lattice)
+        idx = np.flatnonzero(unknown)
+        p_win[idx] = nearest_point(solve(idx), lattice)
     obj = float((np.abs(Fy + oob.apply(p_fix)) ** 2).sum())
     return p_fix, rounds, obj
 

@@ -5,8 +5,9 @@ import pytest
 
 from latfold import (ExperimentConfig, emit_tables, run_sweep, table3_config,
                      table4_config)
-from latfold.experiments import (demo_power_ratio, emit_trajectory_demo,
-                                 quantize_bench, trial_seed)
+from latfold.experiments import (DemoRecoveryError, demo_power_ratio,
+                                 emit_trajectory_demo, quantize_bench,
+                                 trial_seed)
 
 
 def _tiny_config(**kw):
@@ -115,6 +116,12 @@ def test_demo2d_outputs(tmp_path):
                          skiprows=1)
     assert hexpoly.shape == (7, 2)
     assert (tmp_path / "demo2d_summary.json").exists()
+
+
+@pytest.mark.xfail(strict=True, raises=DemoRecoveryError,
+                   reason="hexagon LASSO ends off by lattice vectors on seed 138")
+def test_demo2d_seed_138_recovers(tmp_path):
+    emit_trajectory_demo(tmp_path, seed=138, lam=1.0, power_trials=20)
 
 
 def test_table4_preset_architectures():

@@ -5,8 +5,11 @@ from latfold import (A2, B2R2Options, ConfigurationError, E8, ZN, FoldedRecord,
                      SignalConfig, b2r2_recover, build_oob_operator,
                      check_recovery, fold_signal, hod_recover,
                      lasso_b2r2_recover, make_lattice, make_test_signal)
-from latfold.experiments import draw_margin_trial
-from latfold.recovery import b2r2_objective_history
+from latfold.channels import add_noise, lattice_quantize, scalar_quantize
+from latfold.experiments import ACTIVE_SCHEDULE, draw_margin_trial
+from latfold.lattices import nearest_point
+from latfold.recovery import (OobOperator, _b2r2_lstsq, _window_factor,
+                              b2r2_objective_history)
 
 
 def _start_in_cell(cfg, lattice, max_tries=400):
@@ -28,6 +31,12 @@ def test_oob_bin_selection():
     assert oob.selected_bins.min() == 12
     assert oob.selected_bins.max() == 108
     assert len(oob.selected_bins) == 97
+
+
+def test_oob_selected_bins_read_only():
+    oob = build_oob_operator(120, 10.0, 120.0, guard=0.1)
+    with pytest.raises(ValueError):
+        oob.selected_bins[0] = 0
 
 
 def test_oob_empty_selection_raises():
@@ -206,6 +215,148 @@ def test_b2r2_equivariance_to_lattice_shift():
     rec1, _ = fold_signal(f, lat)
     rec2, _ = fold_signal(f + shift, lat)
     assert np.allclose(rec1.samples, rec2.samples, atol=1e-9)
+
+
+# ------------------------------------------------- factored b2r2 vs oracle
+
+def _b2r2_lstsq_reference(y, lattice, oob, opts):
+    """The unfactored solver: lstsq on freshly built DFT rows every round."""
+    K = oob.K
+    margin = max(0, min(opts.support_margin, K - 1))
+    Fy = oob.apply(y)
+    unknown = np.zeros(K, dtype=bool)
+    unknown[margin:] = True
+    p_fix = np.zeros_like(y)
+
+    def solve(idx):
+        rhs = -(Fy + oob.apply(p_fix))
+        sol, *_ = np.linalg.lstsq(oob.rows_for(idx),
+                                  np.vstack([rhs.real, rhs.imag]),
+                                  rcond=opts.rcond)
+        return sol
+
+    rounds = 0
+    for rounds in range(1, opts.max_rounds + 1):
+        idx = np.where(unknown)[0]
+        if idx.size == 0:
+            break
+        sol = solve(idx)
+        q = nearest_point(sol, lattice)
+        dist = np.linalg.norm(sol - q, axis=1)
+        confident = dist < opts.confidence * lattice.lam
+        if opts.bound is not None:
+            confident &= np.abs(sol).max(axis=1) <= opts.bound
+        if not confident.any() or confident.all():
+            p_fix[idx] = q
+            unknown[idx] = False
+            break
+        p_fix[idx[confident]] = q[confident]
+        unknown[idx[confident]] = False
+    if unknown.any():
+        idx = np.where(unknown)[0]
+        p_fix[idx] = nearest_point(solve(idx), lattice)
+    return p_fix, rounds
+
+
+def _sweep_case(of):
+    """Record length, operator and solver options of one sweep cell."""
+    fs = of * 20.0
+    K = int(round(fs * 2.0))
+    sig_act, solver_act, leak = ACTIVE_SCHEDULE[of]
+    oob = build_oob_operator(K, 9.5, fs, guard=0.04)
+    return K, K - sig_act, leak, oob, K - solver_act
+
+
+@pytest.mark.parametrize("of", [2, 4, 6, 8])
+def test_b2r2_factored_matches_unfactored_oracle(of):
+    lam = 0.1
+    K, margin, leak, oob, solver_margin = _sweep_case(of)
+    e8q = make_lattice(E8, 8, lam)
+    channels = {
+        "clean": lambda rec, t: rec,
+        "20dB": lambda rec, t: add_noise(rec, 20.0, np.random.SeedSequence([7, of, t])),
+        "sq8": lambda rec, t: scalar_quantize(rec, 8, lam),
+        "e8q4": lambda rec, t: lattice_quantize(rec, e8q, 4),
+    }
+    n_success = 0
+    for fam in (ZN, E8):
+        lat = make_lattice(fam, 8, lam)
+        opts = B2R2Options(support_margin=solver_margin,
+                           bound=10.0 * lam + lat.d_min)
+        for name, channel in channels.items():
+            for t in range(3):
+                f = draw_margin_trial(np.random.SeedSequence([of, t]), lat, 8,
+                                      K, 19, margin, 10.0, leak)
+                rec, p_true = fold_signal(f, lat)
+                y = channel(rec, t).samples
+                p_new, rounds_new, _ = _b2r2_lstsq(y, lat, oob, opts)
+                p_ref, rounds_ref = _b2r2_lstsq_reference(y, lat, oob, opts)
+                ok_new = check_recovery(p_new, p_true, lat).full_success
+                ok_ref = check_recovery(p_ref, p_true, lat).full_success
+                case = (fam, name, t)
+                assert ok_new == ok_ref, case
+                assert rounds_new == rounds_ref, case
+                if ok_new or ok_ref:
+                    assert np.array_equal(p_new, p_ref), case
+                n_success += ok_new
+    assert n_success > 0
+
+
+@pytest.mark.parametrize("of", [2, 4, 6, 8])
+def test_window_factor_keeps_singular_values(of):
+    # R[:, S] = Q^T A_S with orthonormal Q: the reduced system has the
+    # singular values of the full one, so lstsq truncates at the same rcond
+    K, _, _, oob, solver_margin = _sweep_case(of)
+    window = np.arange(solver_margin, K)
+    _, _, R = _window_factor(K, oob.omega_max, oob.fs, oob.guard, solver_margin)
+    rng = np.random.default_rng(of)
+    for size in (1, len(window) // 2, len(window) - 1, len(window)):
+        cols = np.sort(rng.choice(len(window), size=size, replace=False))
+        s_red = np.linalg.svd(R[:, cols], compute_uv=False)
+        s_full = np.linalg.svd(oob.rows_for(window[cols]), compute_uv=False)
+        assert np.allclose(s_red, s_full, rtol=1e-9, atol=1e-9 * s_full[0])
+
+
+def test_b2r2_builds_window_rows_once(monkeypatch):
+    lam = 0.1
+    lat = make_lattice(E8, 8, lam)
+    K, margin, leak, oob, solver_margin = _sweep_case(6)
+    calls = []
+    rows_for = OobOperator.rows_for
+
+    def counted(self, columns):
+        calls.append(len(columns))
+        return rows_for(self, columns)
+
+    monkeypatch.setattr(OobOperator, "rows_for", counted)
+    _window_factor.cache_clear()
+    opts = B2R2Options(support_margin=solver_margin, bound=1.0 + lat.d_min)
+    for t in range(3):
+        f = draw_margin_trial(np.random.SeedSequence([6, t]), lat, 8, K, 19,
+                              margin, 10.0, leak)
+        rec, _ = fold_signal(f, lat)
+        b2r2_recover(add_noise(rec, 25.0, np.random.SeedSequence([t])), lat,
+                     oob, opts)
+    assert calls == [K - solver_margin]
+
+
+def test_b2r2_hand_built_bins_not_taken_from_cache():
+    # an operator whose bins are not build_oob_operator's selection for its
+    # parameters must not be solved with the cached factor of that selection
+    lam = 0.1
+    lat = make_lattice(ZN, 8, lam)
+    K, margin, leak, oob, solver_margin = _sweep_case(6)
+    sub = OobOperator(K=K, omega_max=oob.omega_max, fs=oob.fs, guard=oob.guard,
+                      selected_bins=oob.selected_bins[::2].copy())
+    f = draw_margin_trial(np.random.SeedSequence([6, 0]), lat, 8, K, 19,
+                          margin, 10.0, leak)
+    rec, _ = fold_signal(f, lat)
+    y = add_noise(rec, 25.0, np.random.SeedSequence([1])).samples
+    opts = B2R2Options(support_margin=solver_margin, bound=1.0 + lat.d_min)
+    p_new, rounds_new, _ = _b2r2_lstsq(y, lat, sub, opts)
+    p_ref, rounds_ref = _b2r2_lstsq_reference(y, lat, sub, opts)
+    assert rounds_new == rounds_ref
+    assert np.array_equal(p_new, p_ref)
 
 
 # --------------------------------------------------------------------- lasso
