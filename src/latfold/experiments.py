@@ -232,9 +232,8 @@ def trial_seed(master_seed: int, of, kind: str, level, trial: int) -> np.random.
     return np.random.SeedSequence([p & 0xFFFFFFFF for p in parts])
 
 
-def _cell_trial_runner(cfg: ExperimentConfig, of, kind: str, level,
-                       arch_name: str):
-    """Set up one cell once; returns ``run(trial) -> (success, mse)``."""
+def _run_trial(cfg: ExperimentConfig, of, kind: str, level, arch_name: str,
+               trial: int):
     arch = ARCHITECTURES[arch_name]
     lattice = make_lattice(arch["fold"],
                            cfg.n_channels if arch["fold"] != E8 else 8, cfg.lam)
@@ -244,63 +243,54 @@ def _cell_trial_runner(cfg: ExperimentConfig, of, kind: str, level,
     band = m_max / cfg.duration
     sig_act, solver_act, leak_amp = ACTIVE_SCHEDULE[int(of)]
     margin = K - sig_act
+
+    # signal and noise seeds are independent of the architecture so that
+    # square/E8 cells see paired trials
+    sig_seed = trial_seed(cfg.master_seed, of, kind, level, trial)
+    f = draw_margin_trial(sig_seed, lattice, cfg.n_channels, K, m_max, margin,
+                          cfg.dr_factor, leak_amp)
+    rec, p_true = fold_signal(f, lattice)
+    clean = rec.samples
+
+    if kind == "snr" and level is not None:
+        noise_seed = np.random.SeedSequence([(int(cfg.master_seed) + 7) & 0xFFFFFFFF,
+                                             int(round(float(of) * 10)),
+                                             _level_code(kind, level), int(trial)])
+        rec = add_noise(rec, float(level), noise_seed, law=cfg.noise_law)
+    elif kind == "bits" and level is not None:
+        if arch["quantizer"] == "scalar":
+            rec = scalar_quantize(rec, int(level), cfg.lam)
+        elif arch["quantizer"] == "lattice":
+            rec = lattice_quantize(rec, lattice, int(level))
+        else:
+            raise ConfigurationError(f"architecture {arch_name} has no quantizer")
+
     oob = build_oob_operator(K, band, fs, cfg.guard)
     if cfg.algorithm == "b2r2":
         opts = B2R2Options(support_margin=K - solver_act,
                            bound=cfg.dr_factor * cfg.lam + lattice.d_min,
                            tol=cfg.tol, max_iters=cfg.max_iters)
-
-        def recover(rec):
-            return b2r2_recover(rec, lattice, oob, opts)
+        result = b2r2_recover(rec, lattice, oob, opts)
     elif cfg.algorithm == "lasso":
-        lasso_opts = LassoOptions(max_iters=cfg.max_iters)
-
-        def recover(rec):
-            return lasso_b2r2_recover(rec, lattice, oob, mu=cfg.lasso_mu,
-                                      opts=lasso_opts)
+        result = lasso_b2r2_recover(rec, lattice, oob, mu=cfg.lasso_mu,
+                                    opts=LassoOptions(max_iters=cfg.max_iters))
     elif cfg.algorithm == "hod":
-        def recover(rec):
-            return hod_recover(rec, lattice, cfg.hod_order)
+        result = hod_recover(rec, lattice, cfg.hod_order)
     else:
         raise ConfigurationError(f"unknown algorithm {cfg.algorithm!r}")
 
-    def run(trial: int):
-        # signal and noise seeds are independent of the architecture so that
-        # square/E8 cells see paired trials
-        sig_seed = trial_seed(cfg.master_seed, of, kind, level, trial)
-        f = draw_margin_trial(sig_seed, lattice, cfg.n_channels, K, m_max,
-                              margin, cfg.dr_factor, leak_amp)
-        rec, p_true = fold_signal(f, lattice)
-        clean = rec.samples
-
-        if kind == "snr" and level is not None:
-            noise_seed = np.random.SeedSequence([(int(cfg.master_seed) + 7) & 0xFFFFFFFF,
-                                                 int(round(float(of) * 10)),
-                                                 _level_code(kind, level), int(trial)])
-            rec = add_noise(rec, float(level), noise_seed, law=cfg.noise_law)
-        elif kind == "bits" and level is not None:
-            if arch["quantizer"] == "scalar":
-                rec = scalar_quantize(rec, int(level), cfg.lam)
-            elif arch["quantizer"] == "lattice":
-                rec = lattice_quantize(rec, lattice, int(level))
-            else:
-                raise ConfigurationError(f"architecture {arch_name} has no quantizer")
-
-        result = recover(rec)
-        chk = check_recovery(result.p_hat, p_true, lattice,
-                             f_hat=result.f_hat, f_true=f)
-        mse = float(((rec.samples - clean) ** 2).sum() / clean.size)
-        return chk.full_success, mse
-
-    return run
+    chk = check_recovery(result.p_hat, p_true, lattice,
+                         f_hat=result.f_hat, f_true=f)
+    mse = float(((rec.samples - clean) ** 2).sum() / clean.size)
+    return chk.full_success, mse
 
 
 def _run_cell_trials(cfg: ExperimentConfig, of, kind: str, level, arch: str) -> CellResult:
     eff_kind = "clean" if level is None else kind
     t0 = time.perf_counter()
     try:
-        run_trial = _cell_trial_runner(cfg, of, eff_kind, level, arch)
-        outcomes = [run_trial(t) for t in range(cfg.n_trials)]
+        outcomes = [_run_trial(cfg, of, eff_kind, level, arch, t)
+                    for t in range(cfg.n_trials)]
         succ = [m for ok, m in outcomes if ok]
         return CellResult(
             of=float(of), level_kind=eff_kind,

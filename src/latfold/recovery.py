@@ -35,7 +35,8 @@ class OobOperator:
 
     Row ``m`` applies ``sum_k exp(-j 2 pi m k / K) x[k]``; the selection
     keeps bins whose frequency magnitude exceeds ``omega_max * (1 + guard)``.
-    The bins are read-only: solvers cache factors of these rows.
+    The operator keeps a read-only copy of the bins: solvers cache factors
+    of these rows.
     """
 
     K: int
@@ -45,7 +46,9 @@ class OobOperator:
     selected_bins: np.ndarray
 
     def __post_init__(self):
-        self.selected_bins.setflags(write=False)
+        bins = np.array(self.selected_bins, dtype=np.intp)
+        bins.setflags(write=False)
+        object.__setattr__(self, "selected_bins", bins)
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         return np.fft.fft(x, axis=0)[self.selected_bins]
@@ -64,9 +67,12 @@ class OobOperator:
 
     def rows_for(self, columns: np.ndarray) -> np.ndarray:
         """Real-stacked selected DFT rows restricted to the given samples."""
-        ang = -2j * np.pi * np.outer(self.selected_bins, columns) / self.K
-        F = np.exp(ang)
-        return np.vstack([F.real, F.imag])
+        return _dft_rows(self.K, self.selected_bins, columns)
+
+
+def _dft_rows(K: int, bins: np.ndarray, columns: np.ndarray) -> np.ndarray:
+    F = np.exp(-2j * np.pi * np.outer(bins, columns) / K)
+    return np.vstack([F.real, F.imag])
 
 
 def build_oob_operator(K: int, omega_max: float, fs: float,
@@ -147,19 +153,19 @@ class B2R2Options:
 
 
 @functools.lru_cache(maxsize=32)
-def _window_factor(K: int, omega_max: float, fs: float, guard: float,
-                   margin: int):
+def _window_factor(K: int, bins: bytes, margin: int):
     """Thin QR ``A_W = Q R`` of the out-of-band rows on the window [margin, K).
 
-    ``A_W`` depends only on these scalars, so one factor serves every trial
-    and every round at one oversampling factor. Returns the bins it was
-    built for with read-only ``Q`` and ``R``.
+    ``A_W`` depends only on the record length, the selected bins (given as
+    the bytes of the ``intp`` bin array, so the key is hashable) and the
+    margin, so one factor serves every trial and every round at one
+    oversampling factor. Returns read-only ``Q`` and ``R``.
     """
-    oob = build_oob_operator(K, omega_max, fs, guard)
-    Q, R = np.linalg.qr(oob.rows_for(np.arange(margin, K)))
+    rows = _dft_rows(K, np.frombuffer(bins, dtype=np.intp), np.arange(margin, K))
+    Q, R = np.linalg.qr(rows)
     Q.setflags(write=False)
     R.setflags(write=False)
-    return oob.selected_bins, Q, R
+    return Q, R
 
 
 def _b2r2_lstsq(y, lattice, oob, opts: B2R2Options):
@@ -182,9 +188,7 @@ def _b2r2_lstsq(y, lattice, oob, opts: B2R2Options):
     """
     K = oob.K
     margin = max(0, min(opts.support_margin, K - 1))
-    bins, Q, R = _window_factor(K, oob.omega_max, oob.fs, oob.guard, margin)
-    if not np.array_equal(bins, oob.selected_bins):     # hand-built bin set
-        Q, R = np.linalg.qr(oob.rows_for(np.arange(margin, K)))
+    Q, R = _window_factor(K, oob.selected_bins.tobytes(), margin)
     Fy = oob.apply(y)
     c0 = -Q.T @ np.vstack([Fy.real, Fy.imag])
     unknown = np.ones(K - margin, dtype=bool)    # over the window

@@ -8,6 +8,7 @@ from latfold import (A2, B2R2Options, ConfigurationError, E8, ZN, FoldedRecord,
 from latfold.channels import add_noise, lattice_quantize, scalar_quantize
 from latfold.experiments import ACTIVE_SCHEDULE, draw_margin_trial
 from latfold.lattices import nearest_point
+from latfold import recovery
 from latfold.recovery import (OobOperator, _b2r2_lstsq, _window_factor,
                               b2r2_objective_history)
 
@@ -37,6 +38,19 @@ def test_oob_selected_bins_read_only():
     oob = build_oob_operator(120, 10.0, 120.0, guard=0.1)
     with pytest.raises(ValueError):
         oob.selected_bins[0] = 0
+
+
+def test_oob_keeps_own_copy_of_bins():
+    bins = np.arange(30, 90)
+    oob = OobOperator(K=120, omega_max=10.0, fs=120.0, guard=0.1,
+                      selected_bins=bins)
+    bins[0] = 0                        # the caller's array stays writable
+    assert oob.selected_bins[0] == 30
+    listed = OobOperator(K=120, omega_max=10.0, fs=120.0, guard=0.1,
+                         selected_bins=list(range(30, 90)))
+    x = np.random.default_rng(0).standard_normal((120, 2))
+    assert np.array_equal(listed.apply(x), oob.apply(x))
+    assert np.array_equal(listed.rows_for(np.arange(5)), oob.rows_for(np.arange(5)))
 
 
 def test_oob_empty_selection_raises():
@@ -308,7 +322,7 @@ def test_window_factor_keeps_singular_values(of):
     # singular values of the full one, so lstsq truncates at the same rcond
     K, _, _, oob, solver_margin = _sweep_case(of)
     window = np.arange(solver_margin, K)
-    _, _, R = _window_factor(K, oob.omega_max, oob.fs, oob.guard, solver_margin)
+    _, R = _window_factor(K, oob.selected_bins.tobytes(), solver_margin)
     rng = np.random.default_rng(of)
     for size in (1, len(window) // 2, len(window) - 1, len(window)):
         cols = np.sort(rng.choice(len(window), size=size, replace=False))
@@ -322,13 +336,13 @@ def test_b2r2_builds_window_rows_once(monkeypatch):
     lat = make_lattice(E8, 8, lam)
     K, margin, leak, oob, solver_margin = _sweep_case(6)
     calls = []
-    rows_for = OobOperator.rows_for
+    dft_rows = recovery._dft_rows
 
-    def counted(self, columns):
+    def counted(K, bins, columns):
         calls.append(len(columns))
-        return rows_for(self, columns)
+        return dft_rows(K, bins, columns)
 
-    monkeypatch.setattr(OobOperator, "rows_for", counted)
+    monkeypatch.setattr(recovery, "_dft_rows", counted)
     _window_factor.cache_clear()
     opts = B2R2Options(support_margin=solver_margin, bound=1.0 + lat.d_min)
     for t in range(3):
@@ -342,7 +356,7 @@ def test_b2r2_builds_window_rows_once(monkeypatch):
 
 def test_b2r2_hand_built_bins_not_taken_from_cache():
     # an operator whose bins are not build_oob_operator's selection for its
-    # parameters must not be solved with the cached factor of that selection
+    # parameters gets the factor of its own bins, not that of the selection
     lam = 0.1
     lat = make_lattice(ZN, 8, lam)
     K, margin, leak, oob, solver_margin = _sweep_case(6)
@@ -357,6 +371,23 @@ def test_b2r2_hand_built_bins_not_taken_from_cache():
     p_ref, rounds_ref = _b2r2_lstsq_reference(y, lat, sub, opts)
     assert rounds_new == rounds_ref
     assert np.array_equal(p_new, p_ref)
+
+
+def test_b2r2_bins_independent_of_operator_scalars():
+    # the bins need not follow omega_max, fs and guard; here those scalars
+    # would leave build_oob_operator no out-of-band bins at all
+    lam = 0.1
+    lat = make_lattice(ZN, 8, lam)
+    oob = OobOperator(K=120, omega_max=100.0, fs=120.0, guard=0.1,
+                      selected_bins=np.arange(30, 90))
+    f = draw_margin_trial(np.random.SeedSequence([3]), lat, 8, 120, 19, 60,
+                          10.0, 0.0)
+    rec, p_true = fold_signal(f, lat)
+    opts = B2R2Options(support_margin=60, bound=1.0 + lat.d_min)
+    result = b2r2_recover(rec, lat, oob, opts)
+    p_ref, _ = _b2r2_lstsq_reference(rec.samples, lat, oob, opts)
+    assert np.array_equal(result.p_hat, p_ref)
+    assert check_recovery(result.p_hat, p_true, lat).full_success
 
 
 # --------------------------------------------------------------------- lasso
