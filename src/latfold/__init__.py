@@ -1,12 +1,12 @@
 """Lattice-modulo folding and recovery of multichannel bandlimited signals."""
 
 from .lattices import (A2, DN, E8, FAMILIES, ZN, ConfigurationError,
-                       ScaledLattice, UnsupportedLatticeError, fold,
-                       fold_iterative, in_voronoi_cell, is_lattice_point,
-                       lattice_coords, make_lattice, nearest_point,
-                       nearest_point_a2, nearest_point_dn, nearest_point_e8,
-                       nearest_point_zn, relevant_vectors, snap_to_lattice,
-                       voronoi_cell_polygon)
+                       NonFiniteInputError, ScaledLattice,
+                       UnsupportedLatticeError, fold, fold_iterative,
+                       in_voronoi_cell, is_lattice_point, lattice_coords,
+                       make_lattice, nearest_point, nearest_point_dn,
+                       nearest_point_e8, nearest_point_zn, relevant_vectors,
+                       snap_to_lattice, voronoi_cell_polygon)
 from .moments import (EquivalentGains, SecondMomentEstimate, equivalent_gains,
                       estimate_second_moment, mse_ratio, predicted_mse,
                       sample_uniform_cell, table1_report)

@@ -41,7 +41,6 @@ def main(argv=None) -> int:
     p2.add_argument("--guard", type=float, default=None)
     p2.add_argument("--tol", type=float, default=None)
     p2.add_argument("--max-iters", type=int, default=None)
-    p2.add_argument("--workers", type=int, default=1)
     p2.add_argument("--dump-config", type=str, default=None,
                     help="write the effective config JSON and exit")
     p2.add_argument("--strict", action="store_true",
@@ -95,7 +94,7 @@ def main(argv=None) -> int:
         if args.dump_config:
             cfg.save(args.dump_config)
             return 0
-        result = run_sweep(cfg, workers=args.workers)
+        result = run_sweep(cfg)
         out = emit_tables(result, fmt=args.format, path=args.out)
         if not args.out:
             sys.stdout.write(out)

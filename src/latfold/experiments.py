@@ -310,13 +310,11 @@ def _run_cell_trials(cfg: ExperimentConfig, of, kind: str, level, arch: str) -> 
             error=f"{type(exc).__name__}: {exc}")
 
 
-def run_sweep(cfg: ExperimentConfig, workers: int = 1) -> ExperimentResult:
-    """Run every (OF, level, architecture) cell of the sweep.
+def run_sweep(cfg: ExperimentConfig) -> ExperimentResult:
+    """Run every (OF, level, architecture) cell of the sweep, in grid order.
 
     Per-trial seeds hash the cell coordinates and the trial index, so adding
-    grid cells never perturbs existing ones. Cells are independent tasks;
-    results are assembled in grid order, so the outcome is identical for any
-    worker count.
+    grid cells never perturbs existing ones.
     """
     levels = [("snr", s) for s in cfg.snr_db_list] + \
              [("bits", b) for b in cfg.bits_list]
@@ -326,12 +324,7 @@ def run_sweep(cfg: ExperimentConfig, workers: int = 1) -> ExperimentResult:
             for of in cfg.of_list
             for kind, level in levels
             for arch in cfg.architectures]
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            cells = list(ex.map(lambda g: _run_cell_trials(cfg, *g), grid))
-    else:
-        cells = [_run_cell_trials(cfg, *g) for g in grid]
+    cells = [_run_cell_trials(cfg, *g) for g in grid]
     return ExperimentResult(config=cfg, cells=tuple(cells))
 
 

@@ -8,14 +8,18 @@ distance ``2*lam``):
 * ``"dn"``  -- checkerboard lattice (even coordinate sum), ``n >= 2``
 * ``"e8"``  -- the 8-dimensional even unimodular lattice
 
-All nearest-point routines are exact and vectorized: they accept a single
+Each family is a union of cosets of a scaled ``Z^n`` or ``D_n`` (Conway &
+Sloane, IEEE Trans. IT 28(2), 1982), and one exact, vectorized decoder
+rounds into every coset and keeps the nearest candidate, for a single
 vector ``(n,)`` or a batch ``(m, n)``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from itertools import combinations, product
+from typing import Callable
 
 import numpy as np
 
@@ -35,13 +39,19 @@ class UnsupportedLatticeError(ValueError):
     """Requested operation is not available for this lattice family."""
 
 
+class NonFiniteInputError(ValueError):
+    """A nearest-point query holds NaN or infinite coordinates."""
+
+
 @dataclass(frozen=True)
 class ScaledLattice:
     """A lattice family instantiated at dimension ``n`` and inradius ``lam``.
 
     ``basis`` holds the generator matrix (columns are basis vectors),
     ``d_min`` the minimum distance (= ``2*lam``) and ``volume`` the
-    fundamental cell volume ``|det basis|``.
+    fundamental cell volume ``|det basis|``. ``scale`` maps the family's
+    unit coset coordinates to signal units: one factor for every axis, or
+    a read-only per-axis array where the axes differ (a2).
     """
 
     family: str
@@ -50,22 +60,10 @@ class ScaledLattice:
     basis: np.ndarray
     d_min: float
     volume: float
+    scale: float | np.ndarray
 
     def __post_init__(self):
         self.basis.setflags(write=False)
-
-    @property
-    def inradius(self) -> float:
-        return self.lam
-
-    @property
-    def unit_scale(self) -> float:
-        """Scale factor from unit-lattice coordinates to signal units."""
-        if self.family == ZN:
-            return 2.0 * self.lam
-        if self.family in (DN, E8):
-            return self.lam * np.sqrt(2.0)
-        raise UnsupportedLatticeError(f"no scalar unit scale for {self.family}")
 
 
 def _unit_dn_basis(n: int) -> np.ndarray:
@@ -93,138 +91,148 @@ def make_lattice(family: str, n: int, lam: float) -> ScaledLattice:
     """Build a ScaledLattice with inradius ``lam`` (so ``d_min = 2*lam``)."""
     if lam <= 0:
         raise ConfigurationError(f"inradius must be positive, got {lam}")
+    lam = float(lam)
     if family == ZN:
         if n < 1:
             raise ConfigurationError("zn requires n >= 1")
-        basis = 2.0 * lam * np.eye(n)
-        volume = (2.0 * lam) ** n
+        scale = 2.0 * lam
+        basis = scale * np.eye(n)
+        volume = scale**n
     elif family == A2:
         if n != 2:
             raise ConfigurationError("a2 requires n = 2")
         basis = 2.0 * lam * np.array([[1.0, 0.5], [0.0, np.sqrt(3.0) / 2.0]])
         volume = 2.0 * np.sqrt(3.0) * lam * lam
+        scale = 2.0 * lam * np.array([1.0, np.sqrt(3.0)])   # 2*lam*(Z x sqrt(3)Z)
+        scale.setflags(write=False)
     elif family == DN:
         if n < 2:
             raise ConfigurationError("dn requires n >= 2")
-        s = lam * np.sqrt(2.0)
-        basis = s * _unit_dn_basis(n)
-        volume = 2.0 * s**n
+        scale = lam * np.sqrt(2.0)
+        basis = scale * _unit_dn_basis(n)
+        volume = 2.0 * scale**n
     elif family == E8:
         if n != 8:
             raise ConfigurationError("e8 requires n = 8")
-        s = lam * np.sqrt(2.0)
-        basis = s * _unit_e8_basis()
-        volume = s**8
+        scale = lam * np.sqrt(2.0)
+        basis = scale * _unit_e8_basis()
+        volume = scale**8
     else:
         raise ConfigurationError(f"unknown lattice family {family!r}")
-    return ScaledLattice(family=family, n=n, lam=float(lam), basis=basis,
-                         d_min=2.0 * float(lam), volume=float(volume))
+    return ScaledLattice(family=family, n=n, lam=lam, basis=basis,
+                         d_min=2.0 * lam, volume=float(volume), scale=scale)
 
 
-def _round_half_toward_zero(u: np.ndarray) -> np.ndarray:
-    # exact .5 ties go to the integer of smaller absolute value
-    return np.copysign(np.ceil(np.abs(u) - 0.5), u)
-
-
-def nearest_point_zn(x, scale: float) -> np.ndarray:
-    """Nearest point of ``scale * Z^n``; half ties round toward zero."""
-    x = np.asarray(x, dtype=float)
-    return scale * _round_half_toward_zero(x / scale)
+def _round_half_toward_zero(u: np.ndarray, half=0.5) -> np.ndarray:
+    # fractions up to ``half`` (default: exact .5 ties) round toward zero
+    a = np.abs(u)
+    a -= half
+    np.ceil(a, out=a)
+    return np.copysign(a, u, out=a)
 
 
 def _q_dn_unit(u: np.ndarray) -> np.ndarray:
-    """Nearest point of unit D_n for batched input (m, n)."""
-    f = _round_half_toward_zero(u)
-    delta = u - f
-    j = np.argmax(np.abs(delta), axis=-1)        # furthest ties -> lowest index
-    rows = np.arange(u.shape[0])
-    dj = delta[rows, j]
-    fj = f[rows, j]
-    # flip toward the second-nearest integer; exact integers flip toward zero
-    step = np.where(dj > 0, 1.0,
-                    np.where(dj < 0, -1.0,
-                             np.where(fj > 0, -1.0,
-                                      np.where(fj < 0, 1.0, 1.0))))
-    g = f.copy()
-    g[rows, j] = fj + step
-    odd = np.abs(f.sum(axis=-1)) % 2 > 0.5
-    return np.where(odd[:, None], g, f)
-
-
-def nearest_point_dn(x, scale: float) -> np.ndarray:
-    """Nearest point of the scaled checkerboard lattice, O(n) per vector.
+    """Nearest point of unit D_n for batched input (m, n).
 
     Rounds every coordinate, and if the coordinate sum is odd re-rounds the
     coordinate furthest from an integer in the opposite direction.
     """
+    f = _round_half_toward_zero(u)
+    odd = np.flatnonzero(np.abs(f.sum(axis=-1)) % 2 > 0.5)
+    j = np.argmax(np.abs(u[odd] - f[odd]), axis=-1)   # furthest ties -> lowest index
+    fj = f[odd, j]
+    dj = u[odd, j] - fj
+    # flip toward the second-nearest integer; exact integers flip toward zero
+    f[odd, j] = fj + np.where(dj != 0, np.sign(dj), np.where(fj > 0, -1.0, 1.0))
+    return f
+
+
+@dataclass(frozen=True)
+class _CosetCode:
+    """A lattice family as a union of cosets of a unit Z^n or D_n.
+
+    ``base`` decodes the unit lattice row-wise; the zero coset comes first,
+    then one coset per row of ``shifts`` (unit coordinates). ``weights``
+    scale each axis's squared distance (None: all alike). With ``tie_tol``
+    None exact ties keep the earlier coset; else distances within
+    ``tie_tol`` are ties and go to the smaller norm, in ``base`` as well.
+    """
+
+    base: Callable[[np.ndarray], np.ndarray]
+    shifts: np.ndarray | None = None
+    weights: np.ndarray | None = None
+    tie_tol: float | None = None
+
+    def sq(self, v: np.ndarray) -> np.ndarray:
+        v = v * v
+        if self.weights is None:
+            return v.sum(axis=-1)
+        # a 2-D product runs as one BLAS call; a stacked one loops per row
+        return (v.reshape(-1, v.shape[-1]) @ self.weights).reshape(v.shape[:-1])
+
+
+# the hexagon: 2*lam*(Z x sqrt(3)Z) and its shift by (lam, sqrt(3)*lam). Ties:
+# distances within 1e-9 * lam^2 (1e-9 / 4 in units of (2*lam)^2), so rounding
+# sends fractions within tie / (2 * weight) of one half toward zero
+_A2_WEIGHTS = np.array([1.0, 3.0])
+_A2_TIE = 1e-9 / 4.0
+
+_CODES = {
+    ZN: _CosetCode(_round_half_toward_zero),
+    DN: _CosetCode(_q_dn_unit),
+    E8: _CosetCode(_q_dn_unit, shifts=np.full((1, 8), 0.5)),
+    A2: _CosetCode(partial(_round_half_toward_zero,
+                           half=0.5 + _A2_TIE / (2.0 * _A2_WEIGHTS)),
+                   shifts=np.full((1, 2), 0.5), weights=_A2_WEIGHTS, tie_tol=_A2_TIE),
+}
+
+
+def _decode(x, code: _CosetCode, scale) -> np.ndarray:
+    """Nearest point of the code's coset union, scaled by ``scale``.
+
+    Decodes the rows of ``x`` (the last axis) in every coset at once and
+    keeps the nearest candidate under the code's tie rule.
+    """
     x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    u = np.atleast_2d(x) / scale
-    out = scale * _q_dn_unit(u)
-    return out[0] if single else out
+    if not np.isfinite(x).all():
+        raise NonFiniteInputError("nearest point of a non-finite vector")
+    u = x.reshape(-1, x.shape[-1]) / scale
+    if code.shifts is None:
+        return (code.base(u) * scale).reshape(x.shape)
+    n = u.shape[1]
+    if n != code.shifts.shape[1]:
+        raise ConfigurationError(f"this lattice needs {code.shifts.shape[1]}-vectors")
+    c = np.concatenate([u[None], u - code.shifts[:, None]])      # (cosets, m, n)
+    c = code.base(c.reshape(-1, n)).reshape(c.shape)
+    c[1:] += code.shifts[:, None]
+    d = code.sq(u - c)                                           # (cosets, m)
+    if code.tie_tol is not None:
+        d = np.where(d <= d.min(axis=0) + code.tie_tol, code.sq(c), np.inf)
+    best, d_best = c[0], d[0]
+    for ck, dk in zip(c[1:], d[1:]):          # only a strictly nearer coset wins
+        np.copyto(best, ck, where=(dk < d_best)[:, None])
+        d_best = np.minimum(d_best, dk)
+    return (best * scale).reshape(x.shape)
+
+
+def nearest_point_zn(x, scale: float) -> np.ndarray:
+    """Nearest point of ``scale * Z^n``; half ties round toward zero."""
+    return _decode(x, _CODES[ZN], scale)
+
+
+def nearest_point_dn(x, scale: float) -> np.ndarray:
+    """Nearest point of the scaled checkerboard lattice, O(n) per vector."""
+    return _decode(x, _CODES[DN], scale)
 
 
 def nearest_point_e8(x, scale: float) -> np.ndarray:
-    """Nearest point of scaled E8 via the two-coset D8 decoder.
-
-    Decodes in D8 and in D8 + (1/2, ..., 1/2) and keeps the closer
-    candidate; exact distance ties keep the integer-coset candidate.
-    """
-    x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    u = np.atleast_2d(x) / scale
-    if u.shape[-1] != 8:
-        raise ConfigurationError("e8 nearest point needs 8-vectors")
-    c1 = _q_dn_unit(u)
-    c2 = _q_dn_unit(u - 0.5) + 0.5
-    d1 = ((u - c1) ** 2).sum(axis=-1)
-    d2 = ((u - c2) ** 2).sum(axis=-1)
-    out = scale * np.where((d1 <= d2)[:, None], c1, c2)
-    return out[0] if single else out
-
-
-# integer offsets tried around floor(basis coords); covers the four corner
-# candidates and their hexagonal neighbors
-_A2_OFFSETS = np.array([(i, j) for i in (-1, 0, 1, 2) for j in (-1, 0, 1, 2)],
-                       dtype=float)
-
-
-def nearest_point_a2(x, lattice: ScaledLattice) -> np.ndarray:
-    """Exact nearest point of the hexagonal lattice by candidate enumeration.
-
-    Enumerates integer basis coordinates around ``floor(B^{-1} x)`` and
-    returns the closest lattice point; distance ties resolve to the
-    candidate of smaller norm.
-    """
-    if lattice.family != A2:
-        raise ConfigurationError("nearest_point_a2 requires an a2 lattice")
-    x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    xb = np.atleast_2d(x)
-    B = lattice.basis
-    k = xb @ np.linalg.inv(B).T
-    cand_k = np.floor(k)[:, None, :] + _A2_OFFSETS[None, :, :]
-    cand = cand_k @ B.T                           # (m, 16, 2)
-    d2 = ((xb[:, None, :] - cand) ** 2).sum(axis=-1)
-    dmin = d2.min(axis=1, keepdims=True)
-    tol = 1e-9 * lattice.lam * lattice.lam
-    norms = np.where(d2 <= dmin + tol, (cand**2).sum(axis=-1), np.inf)
-    pick = np.argmin(norms, axis=1)
-    out = cand[np.arange(xb.shape[0]), pick]
-    return out[0] if single else out
+    """Nearest point of scaled E8 = D8 u (D8 + 1/2); exact ties keep D8."""
+    return _decode(x, _CODES[E8], scale)
 
 
 def nearest_point(x, lattice: ScaledLattice) -> np.ndarray:
-    """Nearest lattice point, dispatching on the family."""
-    if lattice.family == ZN:
-        return nearest_point_zn(x, lattice.unit_scale)
-    if lattice.family == DN:
-        return nearest_point_dn(x, lattice.unit_scale)
-    if lattice.family == E8:
-        return nearest_point_e8(x, lattice.unit_scale)
-    if lattice.family == A2:
-        return nearest_point_a2(x, lattice)
-    raise UnsupportedLatticeError(lattice.family)
+    """Nearest lattice point of each row of ``x``."""
+    return _decode(x, _CODES[lattice.family], lattice.scale)
 
 
 def fold(x, lattice: ScaledLattice):
@@ -258,47 +266,37 @@ def snap_to_lattice(lattice: ScaledLattice, v) -> np.ndarray:
     return out.reshape(v.shape)
 
 
+def _pm_pairs(n: int) -> np.ndarray:
+    """The 2n(n-1) vectors +-e_i +-e_j (i < j): the minimal vectors of D_n."""
+    vs = []
+    for i, j in combinations(range(n), 2):
+        for si, sj in product((1.0, -1.0), repeat=2):
+            v = np.zeros(n)
+            v[i], v[j] = si, sj
+            vs.append(v)
+    return np.array(vs)
+
+
 def relevant_vectors(lattice: ScaledLattice) -> np.ndarray:
     """Minimal vectors defining the Voronoi facets (comparator directions).
 
-    Counts: 2n for the cubic lattice, 6 for the hexagon, 24 for D4 and 240
-    for E8. The set is closed under negation and every vector has norm
-    ``2*lam``.
+    Counts: 2n for the cubic lattice, 6 for the hexagon, 2n(n-1) for D_n
+    (24 for D4) and 240 for E8. The set is closed under negation and every
+    vector has norm ``2*lam``.
     """
-    lam = lattice.lam
     if lattice.family == ZN:
-        eye = 2.0 * lam * np.eye(lattice.n)
+        eye = lattice.scale * np.eye(lattice.n)
         return np.vstack([eye, -eye])
     if lattice.family == A2:
-        v1 = lattice.basis[:, 0]
-        v2 = lattice.basis[:, 1]
+        v1, v2 = lattice.basis.T
         vs = np.array([v1, v2, v1 - v2])
         return np.vstack([vs, -vs])
-    if lattice.family == DN:
-        if lattice.n != 4:
-            raise UnsupportedLatticeError(
-                "relevant vectors implemented for dn only at n = 4")
-        s = lattice.unit_scale
-        vs = []
-        for i, j in combinations(range(4), 2):
-            for si, sj in product((1.0, -1.0), repeat=2):
-                v = np.zeros(4)
-                v[i], v[j] = si, sj
-                vs.append(s * v)
-        return np.array(vs)
+    vs = _pm_pairs(lattice.n)
     if lattice.family == E8:
-        s = lattice.unit_scale
-        vs = []
-        for i, j in combinations(range(8), 2):
-            for si, sj in product((1.0, -1.0), repeat=2):
-                v = np.zeros(8)
-                v[i], v[j] = si, sj
-                vs.append(s * v)
-        for signs in product((0.5, -0.5), repeat=8):
-            if sum(1 for t in signs if t < 0) % 2 == 0:
-                vs.append(s * np.array(signs))
-        return np.array(vs)
-    raise UnsupportedLatticeError(lattice.family)
+        halves = [signs for signs in product((0.5, -0.5), repeat=8)
+                  if sum(1 for t in signs if t < 0) % 2 == 0]
+        vs = np.vstack([vs, halves])
+    return lattice.scale * vs
 
 
 def fold_iterative(x, lattice: ScaledLattice, max_steps: int = 100000) -> np.ndarray:

@@ -130,14 +130,6 @@ def test_table4_preset_architectures():
     assert cfg.bits_list[-1] is None
 
 
-def test_sweep_worker_count_invariant():
-    cfg = _tiny_config(snr_db_list=(30.0,), n_trials=4)
-    a = run_sweep(cfg, workers=1)
-    b = run_sweep(cfg, workers=3)
-    for ca, cb in zip(a.cells, b.cells):
-        assert (ca.rate, ca.n_success, ca.mse_mean) == (cb.rate, cb.n_success, cb.mse_mean)
-
-
 def test_rate_monotone_in_snr():
     cfg = _tiny_config(of_list=(6,), snr_db_list=(15.0, 25.0, None),
                        architectures=("e8",), n_trials=12)

@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 from itertools import product
 
-from latfold import (A2, DN, E8, ZN, ConfigurationError, UnsupportedLatticeError,
+from latfold import (A2, DN, E8, ZN, ConfigurationError, NonFiniteInputError,
                      fold, fold_iterative, in_voronoi_cell, is_lattice_point,
-                     make_lattice, nearest_point, nearest_point_a2,
-                     nearest_point_dn, nearest_point_e8, nearest_point_zn,
-                     relevant_vectors, voronoi_cell_polygon)
+                     make_lattice, nearest_point, nearest_point_dn,
+                     nearest_point_e8, nearest_point_zn, relevant_vectors,
+                     voronoi_cell_polygon)
 
 UNIT_E8 = 1.0 / np.sqrt(2.0)   # inradius that puts dn/e8 at unit-lattice scale
 
@@ -106,17 +106,47 @@ def test_e8_deep_hole_tie_keeps_integer_coset():
     assert np.array_equal(nearest_point_e8(x, 1.0), np.zeros(8))
 
 
+def test_e8_tie_keeps_integer_coset_over_smaller_norm():
+    # (3/4, ..., 3/4) is equidistant from all-ones and the all-half point;
+    # the integer coset wins although its norm is larger
+    x = np.full(8, 0.75)
+    assert ((x - 1.0) ** 2).sum() == ((x - 0.5) ** 2).sum()
+    for s in (1.0, 0.5, 2.0):
+        assert np.array_equal(nearest_point_e8(s * x, s), np.full(8, s))
+
+
 def test_a2_trivial_points():
     lat = make_lattice(A2, 2, 1.0)
-    assert np.array_equal(nearest_point_a2(np.zeros(2), lat), [0, 0])
-    assert np.allclose(nearest_point_a2(np.array([2.0, 0.0]), lat), [2, 0])
+    assert np.array_equal(nearest_point(np.zeros(2), lat), [0, 0])
+    assert np.allclose(nearest_point(np.array([2.0, 0.0]), lat), [2, 0])
 
 
 def test_a2_boundary_tie_smaller_norm():
     # (1, 0.5) is equidistant from (0,0) and (2,0); tie -> smaller norm
     lat = make_lattice(A2, 2, 1.0)
-    got = nearest_point_a2(np.array([1.0, 0.5]), lat)
+    got = nearest_point(np.array([1.0, 0.5]), lat)
     assert np.array_equal(got, [0, 0])
+
+
+@pytest.mark.parametrize("lam", [1.0, 0.7, 3.0])
+def test_a2_cross_coset_tie_smaller_norm(lam):
+    # (3.5, sqrt(3)/2)*lam is equidistant from (4, 0)*lam in the rectangular
+    # coset and (3, sqrt(3))*lam in its shift; the smaller norm wins, so the
+    # earlier coset must not
+    lat = make_lattice(A2, 2, lam)
+    x = np.array([3.5, np.sqrt(3.0) / 2.0]) * lam
+    near, far = np.array([3.0, np.sqrt(3.0)]) * lam, np.array([4.0, 0.0]) * lam
+    assert ((x - near) ** 2).sum() == pytest.approx(((x - far) ** 2).sum())
+    assert np.allclose(nearest_point(x, lat), near, rtol=0, atol=1e-12 * lam)
+    assert np.allclose(nearest_point(-x, lat), -near, rtol=0, atol=1e-12 * lam)
+
+
+def test_a2_near_tie_within_coset_smaller_norm():
+    # (3 + 1e-12, 0.47) is nearer to (4, 0) by about 4e-12, inside the 1e-9
+    # tie band, so the smaller-norm (2, 0) of the same coset wins
+    lat = make_lattice(A2, 2, 1.0)
+    assert np.array_equal(nearest_point(np.array([3.0 + 1e-12, 0.47]), lat), [2, 0])
+    assert np.array_equal(nearest_point(np.array([-3.0 - 1e-12, 0.47]), lat), [-2, 0])
 
 
 def test_a2_brute_force_window():
@@ -126,7 +156,7 @@ def test_a2_brute_force_window():
     x = np.array([1.0, 0.5])
     d = ((pts - x) ** 2).sum(axis=1)
     best = d.min()
-    got = nearest_point_a2(x, lat)
+    got = nearest_point(x, lat)
     assert ((got - x) ** 2).sum() == pytest.approx(best)
 
 
@@ -187,6 +217,18 @@ def test_nearest_point_matches_brute_force(family, n, brute):
         d_got = ((x - got) ** 2).sum()
         d_ref = ((x - ref) ** 2).sum()
         assert d_got == pytest.approx(d_ref, rel=1e-10, abs=1e-12)
+
+
+@pytest.mark.parametrize("family,n", [(ZN, 2), (A2, 2), (DN, 4), (E8, 8)])
+def test_nearest_point_rejects_non_finite(family, n):
+    lat = make_lattice(family, n, 0.7)
+    for bad in (np.nan, np.inf, -np.inf):
+        x = np.full((3, n), 0.3)
+        x[1, 0] = bad
+        with pytest.raises(NonFiniteInputError):
+            nearest_point(x, lat)
+        with pytest.raises(NonFiniteInputError):
+            nearest_point(x[1], lat)
 
 
 # --------------------------------------------------------------------- fold
@@ -287,10 +329,16 @@ def test_relevant_vectors_all_lattice_points():
             assert is_lattice_point(lat, v)
 
 
-def test_relevant_vectors_dn_unsupported_dim():
-    lat = make_lattice(DN, 6, 1.0)
-    with pytest.raises(UnsupportedLatticeError):
-        relevant_vectors(lat)
+@pytest.mark.parametrize("n", [3, 6])
+def test_fold_iterative_agrees_with_fold_dn_any_dim(n):
+    lam = 0.9
+    lat = make_lattice(DN, n, lam)
+    assert len(relevant_vectors(lat)) == 2 * n * (n - 1)
+    rng = np.random.default_rng(12)
+    x = rng.uniform(-5 * lam, 5 * lam, (1000, n)) + 1e-6 * rng.standard_normal((1000, n))
+    ri = fold_iterative(x, lat)
+    rf, _ = fold(x, lat)
+    assert np.allclose(ri, rf, atol=1e-8)
 
 
 # --------------------------------------------------------- iterative fold
