@@ -13,8 +13,8 @@ from .moments import (EquivalentGains, SecondMomentEstimate, equivalent_gains,
 from .signals import (DegenerateSignalError, MultisineSignal, SampledSignal,
                       SignalConfig, generate_multisine, make_test_signal,
                       normalize_dr, sample_signal)
-from .channels import (ChannelSpec, FoldedRecord, add_noise, apply_channel,
-                       fold_signal, lattice_quantize, scalar_quantize)
+from .channels import (FoldedRecord, add_noise, fold_signal, lattice_quantize,
+                       scalar_quantize)
 from .recovery import (B2R2Options, LassoOptions, OobOperator, RecoveryCheck,
                        RecoveryNumericalError, RecoveryResult, b2r2_recover,
                        build_oob_operator, check_recovery, hod_recover,

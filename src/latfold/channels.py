@@ -14,53 +14,18 @@ import numpy as np
 
 from .lattices import ScaledLattice, fold, nearest_point
 
-NONE = "none"
-AWGN = "awgn"
-SCALAR_Q = "scalar_q"
-LATTICE_Q = "lattice_q"
 
-_KINDS = (NONE, AWGN, SCALAR_Q, LATTICE_Q)
-
-
-@dataclass(frozen=True)
-class ChannelSpec:
-    kind: str = NONE
-    snr_db: float = math.inf
-    bits: float = math.inf          # int in 1..24 or inf
-    noise_law: str = "gaussian"     # or "uniform", matched variance
-
-    def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise ValueError(f"unknown channel kind {self.kind!r}")
-        if self.kind == AWGN and not self.snr_db > 0:
-            raise ValueError("snr_db must be positive (or inf)")
-        if self.kind in (SCALAR_Q, LATTICE_Q) and math.isfinite(self.bits):
-            if not (1 <= int(self.bits) <= 24):
-                raise ValueError("bits must be in 1..24 or inf")
-        if self.noise_law not in ("gaussian", "uniform"):
-            raise ValueError("noise_law must be 'gaussian' or 'uniform'")
-
-    def to_dict(self) -> dict:
-        return {"kind": self.kind,
-                "snr_db": None if math.isinf(self.snr_db) else self.snr_db,
-                "bits": None if math.isinf(self.bits) else int(self.bits),
-                "noise_law": self.noise_law}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ChannelSpec":
-        return cls(kind=d.get("kind", NONE),
-                   snr_db=math.inf if d.get("snr_db") is None else float(d["snr_db"]),
-                   bits=math.inf if d.get("bits") is None else float(d["bits"]),
-                   noise_law=d.get("noise_law", "gaussian"))
+def _check_bits(bits) -> None:
+    if not (bits == math.inf or (math.isfinite(bits) and 1 <= int(bits) <= 24)):
+        raise ValueError(f"bits must be in 1..24 or inf, got {bits!r}")
 
 
 @dataclass(frozen=True)
 class FoldedRecord:
-    """Folded samples plus the distortion that has been applied to them."""
+    """Folded samples and the lattice they were folded with."""
 
     samples: np.ndarray             # (K, n)
     lattice: ScaledLattice
-    channel: ChannelSpec = ChannelSpec()
 
     @property
     def per_dim_power(self) -> float:
@@ -81,6 +46,8 @@ def add_noise(rec: FoldedRecord, snr_db: float, seed, law: str = "gaussian") -> 
     returns the record unchanged. The uniform law matches the Gaussian
     variance.
     """
+    if not snr_db > 0:
+        raise ValueError(f"snr_db must be positive (or inf), got {snr_db!r}")
     if math.isinf(snr_db):
         return rec
     rng = np.random.default_rng(seed)
@@ -93,49 +60,32 @@ def add_noise(rec: FoldedRecord, snr_db: float, seed, law: str = "gaussian") -> 
         noise = rng.uniform(-a, a, rec.samples.shape)
     else:
         raise ValueError(f"unknown noise law {law!r}")
-    spec = ChannelSpec(kind=AWGN, snr_db=snr_db, noise_law=law)
-    return FoldedRecord(samples=rec.samples + noise, lattice=rec.lattice, channel=spec)
+    return FoldedRecord(samples=rec.samples + noise, lattice=rec.lattice)
 
 
-def scalar_quantize(rec: FoldedRecord, bits: float, lam: float,
-                    saturate: bool = False) -> FoldedRecord:
+def scalar_quantize(rec: FoldedRecord, bits: float, lam: float) -> FoldedRecord:
     """Uniform mid-tread scalar quantizer with step ``2*lam / 2^bits``.
 
     The grid is the same for every folding lattice, which is the point of
     the mismatched architecture: per-coordinate error is uniform on
-    ``[-step/2, step/2]`` regardless of the cell shape. ``saturate`` clips
-    the output to ``[-lam, lam]``; it is off by default because cells other
-    than the cube extend past ``lam`` per coordinate and clipping there
-    would distort the error law.
+    ``[-step/2, step/2]`` regardless of the cell shape. The output is not
+    clipped to ``[-lam, lam]``: cells other than the cube extend past
+    ``lam`` per coordinate, and clipping there would distort the error law.
     """
+    _check_bits(bits)
     if math.isinf(bits):
         return rec
     step = 2.0 * lam / 2.0 ** int(bits)
     q = step * np.round(rec.samples / step)
-    if saturate:
-        q = np.clip(q, -lam, lam)
-    spec = ChannelSpec(kind=SCALAR_Q, bits=bits)
-    return FoldedRecord(samples=q, lattice=rec.lattice, channel=spec)
+    return FoldedRecord(samples=q, lattice=rec.lattice)
 
 
 def lattice_quantize(rec: FoldedRecord, lattice: ScaledLattice, bits: float) -> FoldedRecord:
     """Matched quantizer: nearest point of the scaled lattice ``2^-B Lambda``."""
+    _check_bits(bits)
     if math.isinf(bits):
         return rec
     s = 2.0 ** (-int(bits))
     q = s * nearest_point(rec.samples / s, lattice)
-    spec = ChannelSpec(kind=LATTICE_Q, bits=bits)
-    return FoldedRecord(samples=q, lattice=rec.lattice, channel=spec)
+    return FoldedRecord(samples=q, lattice=rec.lattice)
 
-
-def apply_channel(rec: FoldedRecord, spec: ChannelSpec, lam: float, seed) -> FoldedRecord:
-    """Dispatch a ChannelSpec onto a folded record."""
-    if spec.kind == NONE:
-        return rec
-    if spec.kind == AWGN:
-        return add_noise(rec, spec.snr_db, seed, law=spec.noise_law)
-    if spec.kind == SCALAR_Q:
-        return scalar_quantize(rec, spec.bits, lam)
-    if spec.kind == LATTICE_Q:
-        return lattice_quantize(rec, rec.lattice, spec.bits)
-    raise ValueError(spec.kind)

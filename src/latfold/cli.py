@@ -7,8 +7,10 @@ import json
 import sys
 from pathlib import Path
 
-from .experiments import (ExperimentConfig, emit_tables, emit_trajectory_demo,
-                          quantize_bench, run_sweep, table3_config, table4_config)
+from .experiments import (ALGORITHMS, ExperimentConfig, emit_tables,
+                          emit_trajectory_demo, quantize_bench, run_sweep,
+                          table3_config, table4_config)
+from .lattices import ConfigurationError
 from .moments import format_report_csv, format_report_text, table1_report
 
 
@@ -35,11 +37,10 @@ def main(argv=None) -> int:
     p2.add_argument("--preset", choices=("additive", "quantization"),
                     default=None)
     p2.add_argument("--trials", type=int, default=None)
-    p2.add_argument("--algorithm", choices=("b2r2", "lasso", "hod"), default=None)
+    p2.add_argument("--algorithm", choices=ALGORITHMS, default=None)
     p2.add_argument("--order", type=int, default=None, help="difference order for hod")
     p2.add_argument("--mu", type=float, default=None, help="lasso regularization")
     p2.add_argument("--guard", type=float, default=None)
-    p2.add_argument("--tol", type=float, default=None)
     p2.add_argument("--max-iters", type=int, default=None)
     p2.add_argument("--dump-config", type=str, default=None,
                     help="write the effective config JSON and exit")
@@ -72,7 +73,10 @@ def main(argv=None) -> int:
 
     if args.command == "sweep":
         if args.config:
-            cfg = ExperimentConfig.load(args.config)
+            try:
+                cfg = ExperimentConfig.load(args.config)
+            except ConfigurationError as exc:
+                parser.error(f"{args.config}: {exc}")
         elif args.preset == "quantization":
             cfg = table4_config(master_seed=args.seed)
         else:
@@ -87,14 +91,15 @@ def main(argv=None) -> int:
             cfg.lasso_mu = args.mu
         if args.guard is not None:
             cfg.guard = args.guard
-        if args.tol is not None:
-            cfg.tol = args.tol
         if args.max_iters is not None:
             cfg.max_iters = args.max_iters
         if args.dump_config:
             cfg.save(args.dump_config)
             return 0
-        result = run_sweep(cfg)
+        try:
+            result = run_sweep(cfg)
+        except ConfigurationError as exc:
+            parser.error(str(exc))
         out = emit_tables(result, fmt=args.format, path=args.out)
         if not args.out:
             sys.stdout.write(out)

@@ -15,7 +15,7 @@ import json
 import math
 import time
 import zlib
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass, asdict, fields
 from pathlib import Path
 from typing import Optional
 
@@ -24,13 +24,13 @@ from scipy.linalg import eigh
 
 from .channels import FoldedRecord, add_noise, fold_signal, lattice_quantize, scalar_quantize
 from .lattices import (A2, DN, E8, ZN, ConfigurationError, ScaledLattice,
-                       in_voronoi_cell, make_lattice, voronoi_cell_polygon)
+                       fold, in_voronoi_cell, make_lattice, voronoi_cell_polygon)
 from .recovery import (B2R2Options, LassoOptions, b2r2_recover,
                        build_oob_operator, check_recovery, hod_recover,
                        lasso_b2r2_recover)
 from .signals import SignalConfig, make_test_signal
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 # (active samples of the signal, active samples assumed by the solver,
 # margin leak budget as a fraction of the peak) per oversampling factor,
@@ -51,6 +51,8 @@ ARCHITECTURES = {
     "e8+sqq": {"fold": E8, "quantizer": "scalar"},
     "e8+e8q": {"fold": E8, "quantizer": "lattice"},
 }
+
+ALGORITHMS = ("b2r2", "lasso", "hod")
 
 
 class DemoRecoveryError(RuntimeError):
@@ -109,11 +111,10 @@ def draw_margin_trial(seed_seq: np.random.SeedSequence, lattice: ScaledLattice,
                       n_ch: int, K: int, m_max: int, margin: int,
                       gamma: float, leak_amp: float, max_tries: int = 80):
     """Draw burst signals until the margin folds to zero for this lattice."""
-    from .lattices import fold as _fold
     rng = np.random.default_rng(seed_seq)
     for _ in range(max_tries):
         f = burst_signal(rng, n_ch, K, m_max, margin, gamma, lattice.lam, leak_amp)
-        _, p = _fold(f[:margin], lattice)
+        _, p = fold(f[:margin], lattice)
         if np.all(p == 0):
             return f
     raise ConfigurationError("could not draw a fold-free margin signal")
@@ -141,7 +142,6 @@ class ExperimentConfig:
     hod_order: int = 2
     lasso_mu: Optional[float] = None
     guard: float = 0.04
-    tol: float = 1e-10
     max_iters: int = 5000
     noise_law: str = "gaussian"
     n_trials: int = 50
@@ -158,8 +158,13 @@ class ExperimentConfig:
     def from_dict(cls, d: dict) -> "ExperimentConfig":
         d = dict(d)
         version = d.pop("schema_version", SCHEMA_VERSION)
-        if version != SCHEMA_VERSION:
+        if version == 1:
+            d.pop("tol", None)     # v1 only: tolerance of the removed GD solver
+        elif version != SCHEMA_VERSION:
             raise ConfigurationError(f"unsupported config schema {version}")
+        unknown = sorted(set(d) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ConfigurationError(f"unknown config keys {unknown}")
         for key in ("of_list", "snr_db_list", "bits_list", "architectures"):
             if key in d and d[key] is not None:
                 d[key] = tuple(d[key])
@@ -232,11 +237,18 @@ def trial_seed(master_seed: int, of, kind: str, level, trial: int) -> np.random.
     return np.random.SeedSequence([p & 0xFFFFFFFF for p in parts])
 
 
-def _run_trial(cfg: ExperimentConfig, of, kind: str, level, arch_name: str,
-               trial: int):
-    arch = ARCHITECTURES[arch_name]
-    lattice = make_lattice(arch["fold"],
-                           cfg.n_channels if arch["fold"] != E8 else 8, cfg.lam)
+def noise_seed(master_seed: int, of, kind: str, level, trial: int) -> np.random.SeedSequence:
+    """Per-trial noise seed; like ``trial_seed``, shared by every architecture."""
+    return np.random.SeedSequence([(int(master_seed) + 7) & 0xFFFFFFFF,
+                                   int(round(float(of) * 10)),
+                                   _level_code(kind, level), int(trial)])
+
+
+def run_trial(cfg: ExperimentConfig, of, kind: str, level, arch: str, sig_seed, noise_seed):
+    """One seeded trial; returns (all offsets recovered, channel MSE per coordinate)."""
+    layout = ARCHITECTURES[arch]
+    lattice = make_lattice(layout["fold"],
+                           cfg.n_channels if layout["fold"] != E8 else 8, cfg.lam)
     fs = of * 2.0 * cfg.omega_max
     K = int(round(fs * cfg.duration))
     m_max = int(math.floor(cfg.omega_max * cfg.duration)) - 1
@@ -244,32 +256,25 @@ def _run_trial(cfg: ExperimentConfig, of, kind: str, level, arch_name: str,
     sig_act, solver_act, leak_amp = ACTIVE_SCHEDULE[int(of)]
     margin = K - sig_act
 
-    # signal and noise seeds are independent of the architecture so that
-    # square/E8 cells see paired trials
-    sig_seed = trial_seed(cfg.master_seed, of, kind, level, trial)
     f = draw_margin_trial(sig_seed, lattice, cfg.n_channels, K, m_max, margin,
                           cfg.dr_factor, leak_amp)
     rec, p_true = fold_signal(f, lattice)
     clean = rec.samples
 
     if kind == "snr" and level is not None:
-        noise_seed = np.random.SeedSequence([(int(cfg.master_seed) + 7) & 0xFFFFFFFF,
-                                             int(round(float(of) * 10)),
-                                             _level_code(kind, level), int(trial)])
         rec = add_noise(rec, float(level), noise_seed, law=cfg.noise_law)
     elif kind == "bits" and level is not None:
-        if arch["quantizer"] == "scalar":
+        if layout["quantizer"] == "scalar":
             rec = scalar_quantize(rec, int(level), cfg.lam)
-        elif arch["quantizer"] == "lattice":
+        elif layout["quantizer"] == "lattice":
             rec = lattice_quantize(rec, lattice, int(level))
         else:
-            raise ConfigurationError(f"architecture {arch_name} has no quantizer")
+            raise ConfigurationError(f"architecture {arch} has no quantizer")
 
     oob = build_oob_operator(K, band, fs, cfg.guard)
     if cfg.algorithm == "b2r2":
         opts = B2R2Options(support_margin=K - solver_act,
-                           bound=cfg.dr_factor * cfg.lam + lattice.d_min,
-                           tol=cfg.tol, max_iters=cfg.max_iters)
+                           bound=cfg.dr_factor * cfg.lam + lattice.d_min)
         result = b2r2_recover(rec, lattice, oob, opts)
     elif cfg.algorithm == "lasso":
         result = lasso_b2r2_recover(rec, lattice, oob, mu=cfg.lasso_mu,
@@ -279,8 +284,7 @@ def _run_trial(cfg: ExperimentConfig, of, kind: str, level, arch_name: str,
     else:
         raise ConfigurationError(f"unknown algorithm {cfg.algorithm!r}")
 
-    chk = check_recovery(result.p_hat, p_true, lattice,
-                         f_hat=result.f_hat, f_true=f)
+    chk = check_recovery(result.p_hat, p_true, lattice)
     mse = float(((rec.samples - clean) ** 2).sum() / clean.size)
     return chk.full_success, mse
 
@@ -288,34 +292,45 @@ def _run_trial(cfg: ExperimentConfig, of, kind: str, level, arch_name: str,
 def _run_cell_trials(cfg: ExperimentConfig, of, kind: str, level, arch: str) -> CellResult:
     eff_kind = "clean" if level is None else kind
     t0 = time.perf_counter()
+    succ, error = [], None
     try:
-        outcomes = [_run_trial(cfg, of, eff_kind, level, arch, t)
-                    for t in range(cfg.n_trials)]
-        succ = [m for ok, m in outcomes if ok]
-        return CellResult(
-            of=float(of), level_kind=eff_kind,
-            level=None if level is None else float(level),
-            architecture=arch, algorithm=cfg.algorithm,
-            n_trials=cfg.n_trials, n_success=len(succ),
-            rate=len(succ) / cfg.n_trials,
-            mse_mean=(sum(succ) / len(succ)) if succ else None,
-            wall_time=time.perf_counter() - t0)
+        for t in range(cfg.n_trials):
+            ok, mse = run_trial(cfg, of, eff_kind, level, arch,
+                                trial_seed(cfg.master_seed, of, eff_kind, level, t),
+                                noise_seed(cfg.master_seed, of, eff_kind, level, t))
+            if ok:
+                succ.append(mse)
     except Exception as exc:               # per-cell failure, sweep continues
-        return CellResult(
-            of=float(of), level_kind=eff_kind,
-            level=None if level is None else float(level),
-            architecture=arch, algorithm=cfg.algorithm,
-            n_trials=cfg.n_trials, n_success=0, rate=0.0,
-            mse_mean=None, wall_time=time.perf_counter() - t0,
-            error=f"{type(exc).__name__}: {exc}")
+        succ, error = [], f"{type(exc).__name__}: {exc}"
+    return CellResult(
+        of=float(of), level_kind=eff_kind,
+        level=None if level is None else float(level),
+        architecture=arch, algorithm=cfg.algorithm,
+        n_trials=cfg.n_trials, n_success=len(succ),
+        rate=len(succ) / cfg.n_trials,
+        mse_mean=(sum(succ) / len(succ)) if succ else None,
+        wall_time=time.perf_counter() - t0, error=error)
+
+
+def _check_config(cfg: ExperimentConfig) -> None:
+    for name, values, known in (("oversampling factor", cfg.of_list, ACTIVE_SCHEDULE),
+                                ("architecture", cfg.architectures, ARCHITECTURES),
+                                ("algorithm", (cfg.algorithm,), ALGORITHMS)):
+        bad = [v for v in values if v not in known]
+        if bad:
+            raise ConfigurationError(f"unknown {name} {bad[0]!r}, known: {sorted(known)}")
+    if cfg.n_trials < 1:
+        raise ConfigurationError(f"n_trials must be >= 1, got {cfg.n_trials!r}")
 
 
 def run_sweep(cfg: ExperimentConfig) -> ExperimentResult:
     """Run every (OF, level, architecture) cell of the sweep, in grid order.
 
     Per-trial seeds hash the cell coordinates and the trial index, so adding
-    grid cells never perturbs existing ones.
+    grid cells never perturbs existing ones. A config no cell can run raises
+    ConfigurationError before the first cell.
     """
+    _check_config(cfg)
     levels = [("snr", s) for s in cfg.snr_db_list] + \
              [("bits", b) for b in cfg.bits_list]
     if not levels:
@@ -389,12 +404,11 @@ def demo2d_config(seed: int = 0) -> SignalConfig:
 def _start_in_cell_signal(cfg: SignalConfig, lattice: ScaledLattice,
                           max_tries: int = 500):
     """Regenerate until the first sample folds to zero (demo anchor)."""
-    from .lattices import fold as _fold
     seed = cfg.seed
     for _ in range(max_tries):
         trial_cfg = SignalConfig(**{**asdict(cfg), "seed": seed})
         handle, sampled = make_test_signal(trial_cfg, lattice.lam)
-        _, p0 = _fold(sampled.samples[:1], lattice)
+        _, p0 = fold(sampled.samples[:1], lattice)
         if np.all(p0 == 0):
             return handle, sampled
         seed += 7919

@@ -231,7 +231,9 @@ def nearest_point_e8(x, scale: float) -> np.ndarray:
 
 
 def nearest_point(x, lattice: ScaledLattice) -> np.ndarray:
-    """Nearest lattice point of each row of ``x``."""
+    """Nearest lattice point of each row of ``x`` (rows of width ``lattice.n``)."""
+    if np.shape(x)[-1:] != (lattice.n,):
+        raise ConfigurationError(f"{lattice.family}({lattice.n}) got shape {np.shape(x)}")
     return _decode(x, _CODES[lattice.family], lattice.scale)
 
 

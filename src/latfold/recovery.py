@@ -102,7 +102,6 @@ class RecoveryResult:
 class RecoveryCheck:
     full_success: bool
     sample_error_count: int
-    residual_mse: Optional[float] = None
 
 
 def hod_recover(rec: FoldedRecord, lattice: ScaledLattice, order: int) -> RecoveryResult:
@@ -134,12 +133,8 @@ class B2R2Options:
     """Controls for the out-of-band least-squares solver.
 
     ``support_margin`` is the number of leading samples assumed fold-free
-    (the time-domain search-space restriction); ``extra_margin`` shrinks the
-    assumed fold-free prefix, modelling a solver that only trusts a shorter
-    quiet region than the signal actually has. ``bound`` clamps iterate
-    magnitudes to the known dynamic range. ``method`` chooses the direct
-    solve (exact least squares plus confidence-ordered rounding passes) or
-    plain projected gradient descent.
+    (the time-domain search-space restriction). ``bound`` is the known
+    dynamic range: a row whose solution exceeds it is not committed.
     """
 
     support_margin: int = 0
@@ -147,9 +142,6 @@ class B2R2Options:
     confidence: float = 0.3
     max_rounds: int = 12
     rcond: float = 1e-11
-    method: str = "lstsq"          # or "gd"
-    tol: float = 1e-10
-    max_iters: int = 5000
 
 
 @functools.lru_cache(maxsize=32)
@@ -224,78 +216,22 @@ def _b2r2_lstsq(y, lattice, oob, opts: B2R2Options):
     return p_fix, rounds, obj
 
 
-def _b2r2_gd(y, lattice, oob, opts: B2R2Options):
-    """Projected gradient descent with backtracking from step 1/L.
-
-    Converges to the minimum-norm least-squares solution on the restricted
-    support; kept as the reference iterative path (the direct solver reaches
-    the same minimizer). The objective never increases.
-    """
-    K = oob.K
-    margin = max(0, min(opts.support_margin, K - 1))
-    L = 2.0 * K
-    Fy = oob.apply(y)
-    p = np.zeros_like(y)
-    z = oob.apply(p) + Fy
-    obj = float((np.abs(z) ** 2).sum())
-    it = 0
-    converged = False
-    history = [obj]
-    for it in range(1, opts.max_iters + 1):
-        grad = 2.0 * oob.adjoint(z).real
-        step = 1.0 / L
-        for _ in range(30):                      # backtracking: halve on increase
-            cand = p - step * grad
-            cand[:margin] = 0.0
-            if opts.bound is not None:
-                cand = np.clip(cand, -opts.bound, opts.bound)
-            z_c = oob.apply(cand) + Fy
-            obj_c = float((np.abs(z_c) ** 2).sum())
-            if obj_c <= obj:
-                break
-            step *= 0.5
-        if not math.isfinite(obj_c):
-            raise RecoveryNumericalError(it)
-        rel_drop = (obj - obj_c) / max(obj, 1e-300)
-        p, z, obj = cand, z_c, obj_c
-        history.append(obj)
-        if rel_drop < opts.tol:
-            converged = True
-            break
-    return p, it, obj, converged, history
-
-
 def b2r2_recover(rec: FoldedRecord, lattice: ScaledLattice, oob: OobOperator,
                  opts: Optional[B2R2Options] = None) -> RecoveryResult:
     """Out-of-band least-squares unfolding with a restricted time support.
 
     Minimizes the out-of-band residual ``|F p + F y|^2`` over offset
     sequences supported outside the fold-free prefix, then rounds to the
-    lattice row-wise. The default solver commits confidently-rounded rows
+    lattice row-wise. The solver commits confidently-rounded rows
     between least-squares passes, which is what makes low-oversampling
     noiseless recovery exact.
     """
     opts = opts or B2R2Options()
     y = rec.samples
-    if opts.method == "lstsq":
-        p_fix, rounds, obj = _b2r2_lstsq(y, lattice, oob, opts)
-        p_hat = snap_to_lattice(lattice, nearest_point(p_fix, lattice))
-        return RecoveryResult(f_hat=y + p_hat, p_hat=p_hat, iterations=rounds,
-                              converged=True, objective=obj)
-    if opts.method == "gd":
-        p, it, obj, converged, _ = _b2r2_gd(y, lattice, oob, opts)
-        p_hat = snap_to_lattice(lattice, nearest_point(p, lattice))
-        return RecoveryResult(f_hat=y + p_hat, p_hat=p_hat, iterations=it,
-                              converged=converged, objective=obj)
-    raise ConfigurationError(f"unknown b2r2 method {opts.method!r}")
-
-
-def b2r2_objective_history(rec: FoldedRecord, lattice: ScaledLattice,
-                           oob: OobOperator, opts: Optional[B2R2Options] = None):
-    """Objective trace of the gradient-descent path (monotone by design)."""
-    opts = opts or B2R2Options(method="gd")
-    _, _, _, _, history = _b2r2_gd(rec.samples, lattice, oob, opts)
-    return history
+    p_fix, rounds, obj = _b2r2_lstsq(y, lattice, oob, opts)
+    p_hat = snap_to_lattice(lattice, nearest_point(p_fix, lattice))
+    return RecoveryResult(f_hat=y + p_hat, p_hat=p_hat, iterations=rounds,
+                          converged=True, objective=obj)
 
 
 @dataclass(frozen=True)
@@ -393,13 +329,8 @@ def lasso_b2r2_recover(rec: FoldedRecord, lattice: ScaledLattice,
 
 
 def check_recovery(p_hat: np.ndarray, p_true: np.ndarray,
-                   lattice: ScaledLattice, f_hat: Optional[np.ndarray] = None,
-                   f_true: Optional[np.ndarray] = None) -> RecoveryCheck:
-    """Exact per-row comparison of fold offsets (after lattice snapping).
-
-    ``residual_mse`` (mean ``|f_hat - f|^2 / n``) is reported when both
-    reconstructions are given.
-    """
+                   lattice: ScaledLattice) -> RecoveryCheck:
+    """Exact per-row comparison of fold offsets (after lattice snapping)."""
     p_hat = np.asarray(p_hat, dtype=float)
     p_true = np.asarray(p_true, dtype=float)
     if p_hat.shape != p_true.shape:
@@ -408,9 +339,4 @@ def check_recovery(p_hat: np.ndarray, p_true: np.ndarray,
     k_true = np.round(np.linalg.solve(lattice.basis, p_true.T))
     row_bad = np.any(k_hat != k_true, axis=0)
     errors = int(row_bad.sum())
-    mse = None
-    if f_hat is not None and f_true is not None:
-        diff = np.asarray(f_hat, dtype=float) - np.asarray(f_true, dtype=float)
-        mse = float((diff**2).sum() / diff.size)
-    return RecoveryCheck(full_success=errors == 0, sample_error_count=errors,
-                         residual_mse=mse)
+    return RecoveryCheck(full_success=errors == 0, sample_error_count=errors)

@@ -11,23 +11,15 @@ from itertools import product
 
 import numpy as np
 
-from latfold import (A2, DN, E8, ZN, B2R2Options, SignalConfig, b2r2_recover,
-                     build_oob_operator, check_recovery, estimate_second_moment,
-                     fold, fold_iterative, fold_signal, hod_recover,
+from latfold import (A2, DN, E8, ZN, ExperimentConfig, SignalConfig,
+                     check_recovery, estimate_second_moment, fold,
+                     fold_iterative, fold_signal, hod_recover,
                      lattice_quantize, make_lattice, make_test_signal,
                      mse_ratio, nearest_point, nearest_point_e8,
                      relevant_vectors, sample_uniform_cell, scalar_quantize)
-from latfold.channels import FoldedRecord, add_noise
-from latfold.experiments import (ACTIVE_SCHEDULE, draw_margin_trial,
-                                 emit_trajectory_demo)
+from latfold.channels import FoldedRecord
+from latfold.experiments import emit_trajectory_demo, run_trial
 from latfold.moments import G_CUBIC
-
-LAM = 0.1
-GAMMA = 10.0
-DUR = 2.0
-M_MAX = 19
-BAND = 9.5
-GUARD = 0.04
 
 
 def _report(num, ok, detail):
@@ -212,37 +204,21 @@ def test_criterion_4_quantizer_laws():
 
 # ------------------------------------------------------- recovery machinery
 
-def _run_cell(family, of, n_trials, snr_db=None, sq_bits=None, lat_bits=None,
-              seed0=0, collect_mse=False):
-    lat = make_lattice(family, 8, LAM)
-    fs = of * 20.0
-    K = int(round(fs * DUR))
-    sig_act, solver_act, leak = ACTIVE_SCHEDULE[of]
-    margin = K - sig_act
-    oob = build_oob_operator(K, BAND, fs, GUARD)
-    opts = B2R2Options(support_margin=K - solver_act,
-                       bound=GAMMA * LAM + lat.d_min)
-    n_ok = 0
+def _run_cell(arch, of, n_trials, kind="clean", level=None, seed0=0):
+    """Rate, and the MSE of each successful trial, from the sweep's trial.
+
+    The suite draws its own seeds: [seed0, of, t] for the signal and
+    [seed0 + 5, of, t] for the noise.
+    """
+    cfg = ExperimentConfig()
     mses = {}
     for t in range(n_trials):
-        seed = np.random.SeedSequence([seed0, int(of), t])
-        f = draw_margin_trial(seed, lat, 8, K, M_MAX, margin, GAMMA, leak)
-        rec, p_true = fold_signal(f, lat)
-        clean = rec.samples
-        if snr_db is not None:
-            rec = add_noise(rec, snr_db, np.random.SeedSequence([seed0 + 5, int(of), t]))
-        elif sq_bits is not None:
-            rec = scalar_quantize(rec, sq_bits, LAM)
-        elif lat_bits is not None:
-            rec = lattice_quantize(rec, lat, lat_bits)
-        out = b2r2_recover(rec, lat, oob, opts)
-        if check_recovery(out.p_hat, p_true, lat).full_success:
-            n_ok += 1
-            if collect_mse:
-                mses[t] = ((rec.samples - clean) ** 2).sum() / clean.size
-    if collect_mse:
-        return n_ok / n_trials, mses
-    return n_ok / n_trials
+        ok, mse = run_trial(cfg, of, kind, level, arch,
+                            np.random.SeedSequence([seed0, of, t]),
+                            np.random.SeedSequence([seed0 + 5, of, t]))
+        if ok:
+            mses[t] = mse
+    return len(mses) / n_trials, mses
 
 
 # ---------------------------------------------------------------- criterion 5
@@ -250,9 +226,9 @@ def _run_cell(family, of, n_trials, snr_db=None, sq_bits=None, lat_bits=None,
 def test_criterion_5_noiseless_recovery():
     t0 = time.perf_counter()
     rates = {}
-    for family in (ZN, E8):
+    for arch in ("square", "e8"):
         for of in (2, 4, 6, 8):
-            rates[(family, of)] = _run_cell(family, of, 50)
+            rates[(arch, of)], _ = _run_cell(arch, of, 50)
     b2r2_ok = all(r == 1.0 for r in rates.values())
 
     # higher-order differences on the 1D and 2D demos at OF = 8, N = 2
@@ -285,12 +261,12 @@ def test_criterion_5_noiseless_recovery():
 
 def test_criterion_6_threshold_ordering():
     t0 = time.perf_counter()
-    r_sq_625 = _run_cell(ZN, 6, 50, snr_db=25.0)
-    r_e8_625 = _run_cell(E8, 6, 50, snr_db=25.0)
-    r_sq_430 = _run_cell(ZN, 4, 50, snr_db=30.0)
-    r_e8_430 = _run_cell(E8, 4, 50, snr_db=30.0)
-    r_e8sq_4b = _run_cell(E8, 6, 50, sq_bits=4)
-    r_e8e8_4b = _run_cell(E8, 6, 50, lat_bits=4)
+    r_sq_625, _ = _run_cell("square", 6, 50, "snr", 25.0)
+    r_e8_625, _ = _run_cell("e8", 6, 50, "snr", 25.0)
+    r_sq_430, _ = _run_cell("square", 4, 50, "snr", 30.0)
+    r_e8_430, _ = _run_cell("e8", 4, 50, "snr", 30.0)
+    r_e8sq_4b, _ = _run_cell("e8+sqq", 6, 50, "bits", 4)
+    r_e8e8_4b, _ = _run_cell("e8+e8q", 6, 50, "bits", 4)
     dt = time.perf_counter() - t0
     ok = (r_sq_625 >= 0.9 and r_e8_625 >= 0.9
           and r_e8_430 > r_sq_430
@@ -307,14 +283,14 @@ def test_criterion_6_threshold_ordering():
 def test_criterion_7_mse_gain():
     t0 = time.perf_counter()
     n_trials = 120
-    _, mse_sq = _run_cell(ZN, 8, n_trials, snr_db=30.0, collect_mse=True)
-    _, mse_e8 = _run_cell(E8, 8, n_trials, snr_db=30.0, collect_mse=True)
+    _, mse_sq = _run_cell("square", 8, n_trials, "snr", 30.0)
+    _, mse_e8 = _run_cell("e8", 8, n_trials, "snr", 30.0)
     joint = sorted(set(mse_sq) & set(mse_e8))
     gains = [10 * math.log10(mse_sq[t] / mse_e8[t]) for t in joint]
     g_noise = float(np.mean(gains))
 
-    _, q_sq = _run_cell(ZN, 8, n_trials, sq_bits=8, collect_mse=True)
-    _, q_e8 = _run_cell(E8, 8, n_trials, lat_bits=8, collect_mse=True)
+    _, q_sq = _run_cell("sq+sqq", 8, n_trials, "bits", 8)
+    _, q_e8 = _run_cell("e8+e8q", 8, n_trials, "bits", 8)
     jq = sorted(set(q_sq) & set(q_e8))
     g_quant = float(np.mean([10 * math.log10(q_sq[t] / q_e8[t]) for t in jq]))
     dt = time.perf_counter() - t0

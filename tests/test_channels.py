@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from latfold import (ChannelSpec, E8, FoldedRecord, ZN, add_noise, apply_channel,
-                     fold_signal, lattice_quantize, make_lattice,
-                     sample_uniform_cell, scalar_quantize)
+from latfold import (E8, FoldedRecord, ZN, add_noise, fold_signal,
+                     lattice_quantize, make_lattice, sample_uniform_cell,
+                     scalar_quantize)
 
 
 def _cell_record(family, n, lam, m, seed=0):
@@ -123,29 +123,16 @@ def test_matched_vs_scalar_ratio():
     assert err_lat / err_sq == pytest.approx(0.430, abs=0.43 * 0.02)
 
 
-def test_channel_spec_roundtrip():
-    for spec in (ChannelSpec(), ChannelSpec(kind="awgn", snr_db=25.0),
-                 ChannelSpec(kind="scalar_q", bits=4),
-                 ChannelSpec(kind="lattice_q", bits=8),
-                 ChannelSpec(kind="awgn", snr_db=10.0, noise_law="uniform")):
-        assert ChannelSpec.from_dict(spec.to_dict()) == spec
-
-
-def test_channel_spec_validation():
-    with pytest.raises(ValueError):
-        ChannelSpec(kind="awgn", snr_db=-3.0)
-    with pytest.raises(ValueError):
-        ChannelSpec(kind="scalar_q", bits=25)
-    with pytest.raises(ValueError):
-        ChannelSpec(kind="nope")
-
-
-def test_apply_channel_dispatch():
-    rec = _cell_record(ZN, 2, 1.0, 500)
-    out = apply_channel(rec, ChannelSpec(kind="scalar_q", bits=3), 1.0, seed=0)
-    assert out.channel.kind == "scalar_q"
-    out = apply_channel(rec, ChannelSpec(), 1.0, seed=0)
-    assert out is rec
+def test_channel_input_validation():
+    rec = _cell_record(ZN, 2, 1.0, 10)
+    for snr_db in (-3.0, 0.0, -math.inf, math.nan):
+        with pytest.raises(ValueError):
+            add_noise(rec, snr_db, seed=0)
+    for bits in (25, 0, -math.inf, math.nan):
+        with pytest.raises(ValueError):
+            scalar_quantize(rec, bits, 1.0)
+        with pytest.raises(ValueError):
+            lattice_quantize(rec, rec.lattice, bits)
 
 
 def test_fold_signal_offsets_consistent():

@@ -1,10 +1,13 @@
+import hashlib
 import json
+import re
 
 import numpy as np
 import pytest
 
-from latfold import (ExperimentConfig, emit_tables, run_sweep, table3_config,
-                     table4_config)
+from latfold import (ConfigurationError, ExperimentConfig, emit_tables,
+                     run_sweep, table3_config, table4_config)
+from latfold.cli import main
 from latfold.experiments import (DemoRecoveryError, demo_power_ratio,
                                  emit_trajectory_demo, quantize_bench,
                                  trial_seed)
@@ -24,12 +27,25 @@ def test_config_roundtrip(tmp_path):
     loaded = ExperimentConfig.load(path)
     assert loaded == cfg
     raw = json.loads(path.read_text())
-    assert raw["schema_version"] == 1
+    assert raw["schema_version"] == 2
 
 
 def test_config_rejects_unknown_schema():
     with pytest.raises(Exception):
         ExperimentConfig.from_dict({"schema_version": 99})
+
+
+def test_config_reads_v1_dropping_tol():
+    v1 = {**table3_config(n_trials=7).to_dict(), "schema_version": 1, "tol": 1e-10}
+    assert ExperimentConfig.from_dict(v1) == table3_config(n_trials=7)
+    v2 = {**v1, "schema_version": 2}
+    with pytest.raises(ConfigurationError, match="tol"):
+        ExperimentConfig.from_dict(v2)
+
+
+def test_config_rejects_unknown_key():
+    with pytest.raises(ConfigurationError, match="nope"):
+        ExperimentConfig.from_dict({"nope": 1})
 
 
 def test_trial_seed_stability():
@@ -67,6 +83,42 @@ def test_sweep_bad_architecture_is_cell_error():
     assert bits_cells and all(c.error for c in bits_cells)
 
 
+@pytest.mark.parametrize("field,value,named", [
+    ("of_list", (6, 3), "oversampling factor 3"),
+    ("architectures", ("square", "hex"), "architecture 'hex'"),
+    ("algorithm", "nope", "algorithm 'nope'"),
+    ("n_trials", 0, "n_trials must be >= 1, got 0"),
+])
+def test_sweep_rejects_bad_config_up_front(field, value, named, monkeypatch):
+    import latfold.experiments as experiments
+    monkeypatch.setattr(experiments, "_run_cell_trials",
+                        lambda *a: pytest.fail("a cell ran before the config check"))
+    with pytest.raises(ConfigurationError, match=re.escape(named)):
+        run_sweep(_tiny_config(**{field: value}))
+
+
+def test_cli_sweep_reports_bad_config(tmp_path, capsys):
+    bad_of = tmp_path / "of.json"
+    _tiny_config(of_list=(3,)).save(bad_of)
+    bad_key = tmp_path / "key.json"
+    bad_key.write_text(json.dumps({"schema_version": 2, "nope": 1}))
+    for path, named in ((bad_of, "oversampling factor 3"), (bad_key, "nope")):
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--config", str(path)])
+        assert exc.value.code == 2
+        assert named in capsys.readouterr().err
+
+
+def test_sweep_csv_pinned():
+    # digests of the preset tables at 2 trials, seed 0: any change to the
+    # trial pipeline that moves a single outcome or MSE digit shows here
+    for make, digest in (
+            (table3_config, "bdced0a6001186901a4f38d8a1f45fb950d59117e6f17307c07a8cc58cf59478"),
+            (table4_config, "0f3fc7474ca9f8a5ed5611dd8beecff32e189e6c9ab533b5bdff44f2526bd862")):
+        out = emit_tables(run_sweep(make(n_trials=2, master_seed=0)), "csv")
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_emit_csv_byte_stable():
     cfg = _tiny_config()
     out1 = emit_tables(run_sweep(cfg), fmt="csv")
@@ -85,7 +137,7 @@ def test_emit_empty_sweep_header_only():
 def test_emit_json_and_text_forms():
     result = run_sweep(_tiny_config())
     payload = json.loads(emit_tables(result, fmt="json"))
-    assert payload["config"]["schema_version"] == 1
+    assert payload["config"]["schema_version"] == 2
     assert len(payload["cells"]) == 2
     text = emit_tables(result, fmt="text")
     assert "architecture" in text.splitlines()[0]

@@ -231,6 +231,17 @@ def test_nearest_point_rejects_non_finite(family, n):
             nearest_point(x[1], lat)
 
 
+@pytest.mark.parametrize("family,n", [(ZN, 2), (A2, 2), (DN, 4), (E8, 8)])
+def test_nearest_point_rejects_wrong_width(family, n):
+    # e.g. zn(2) must not decode 3-vectors as Z^3, nor dn(4) fold rows as D6
+    lat = make_lattice(family, n, 1.0)
+    for width in (n - 1, n + 1, n + 2):
+        with pytest.raises(ConfigurationError):
+            nearest_point(np.full((2, width), 0.3), lat)
+        with pytest.raises(ConfigurationError):
+            fold(np.full(width, 0.3), lat)
+
+
 # --------------------------------------------------------------------- fold
 
 def test_fold_identity_inside_cell():
