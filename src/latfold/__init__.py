@@ -3,10 +3,10 @@
 from .lattices import (A2, DN, E8, FAMILIES, ZN, ConfigurationError,
                        NonFiniteInputError, ScaledLattice,
                        UnsupportedLatticeError, fold, fold_iterative,
-                       in_voronoi_cell, is_lattice_point, lattice_coords,
-                       make_lattice, nearest_point, nearest_point_dn,
-                       nearest_point_e8, nearest_point_zn, relevant_vectors,
-                       snap_to_lattice, voronoi_cell_polygon)
+                       folds_to_zero, in_voronoi_cell, is_lattice_point,
+                       lattice_coords, make_lattice, nearest_point,
+                       nearest_point_dn, nearest_point_e8, nearest_point_zn,
+                       relevant_vectors, snap_to_lattice, voronoi_cell_polygon)
 from .moments import (EquivalentGains, SecondMomentEstimate, equivalent_gains,
                       estimate_second_moment, mse_ratio, predicted_mse,
                       sample_uniform_cell, table1_report)

@@ -16,8 +16,14 @@ from .lattices import ScaledLattice, fold, nearest_point
 
 
 def _check_bits(bits) -> None:
-    if not (bits == math.inf or (math.isfinite(bits) and 1 <= int(bits) <= 24)):
-        raise ValueError(f"bits must be in 1..24 or inf, got {bits!r}")
+    if not (bits == math.inf or (math.isfinite(bits) and bits == int(bits)
+                                 and 1 <= bits <= 24)):
+        raise ValueError(f"bits must be an integer in 1..24 or inf, got {bits!r}")
+
+
+def _check_snr(snr_db) -> None:
+    if not snr_db > 0:
+        raise ValueError(f"snr_db must be positive (or inf), got {snr_db!r}")
 
 
 @dataclass(frozen=True)
@@ -46,8 +52,7 @@ def add_noise(rec: FoldedRecord, snr_db: float, seed, law: str = "gaussian") -> 
     returns the record unchanged. The uniform law matches the Gaussian
     variance.
     """
-    if not snr_db > 0:
-        raise ValueError(f"snr_db must be positive (or inf), got {snr_db!r}")
+    _check_snr(snr_db)
     if math.isinf(snr_db):
         return rec
     rng = np.random.default_rng(seed)

@@ -17,14 +17,17 @@ import time
 import zlib
 from dataclasses import dataclass, asdict, fields
 from pathlib import Path
-from typing import Optional
+from types import MappingProxyType
+from typing import Mapping, Optional
 
 import numpy as np
 from scipy.linalg import eigh
 
-from .channels import FoldedRecord, add_noise, fold_signal, lattice_quantize, scalar_quantize
-from .lattices import (A2, DN, E8, ZN, ConfigurationError, ScaledLattice,
-                       fold, in_voronoi_cell, make_lattice, voronoi_cell_polygon)
+from .channels import (FoldedRecord, _check_bits, _check_snr, add_noise, fold_signal,
+                       lattice_quantize, scalar_quantize)
+from .lattices import (A2, DN, E8, ZN, ConfigurationError, ScaledLattice, fold,
+                       folds_to_zero, in_voronoi_cell, make_lattice,
+                       voronoi_cell_polygon)
 from .recovery import (B2R2Options, LassoOptions, b2r2_recover,
                        build_oob_operator, check_recovery, hod_recover,
                        lasso_b2r2_recover)
@@ -114,8 +117,7 @@ def draw_margin_trial(seed_seq: np.random.SeedSequence, lattice: ScaledLattice,
     rng = np.random.default_rng(seed_seq)
     for _ in range(max_tries):
         f = burst_signal(rng, n_ch, K, m_max, margin, gamma, lattice.lam, leak_amp)
-        _, p = fold(f[:margin], lattice)
-        if np.all(p == 0):
+        if folds_to_zero(f[:margin], lattice):
             return f
     raise ConfigurationError("could not draw a fold-free margin signal")
 
@@ -244,30 +246,54 @@ def noise_seed(master_seed: int, of, kind: str, level, trial: int) -> np.random.
                                    _level_code(kind, level), int(trial)])
 
 
-def run_trial(cfg: ExperimentConfig, of, kind: str, level, arch: str, sig_seed, noise_seed):
-    """One seeded trial; returns (all offsets recovered, channel MSE per coordinate)."""
-    layout = ARCHITECTURES[arch]
-    lattice = make_lattice(layout["fold"],
-                           cfg.n_channels if layout["fold"] != E8 else 8, cfg.lam)
+def _geometry(cfg: ExperimentConfig, of):
+    """(sampling rate, record length K, highest in-band bin) at one OF."""
     fs = of * 2.0 * cfg.omega_max
-    K = int(round(fs * cfg.duration))
     m_max = int(math.floor(cfg.omega_max * cfg.duration)) - 1
-    band = m_max / cfg.duration
-    sig_act, solver_act, leak_amp = ACTIVE_SCHEDULE[int(of)]
-    margin = K - sig_act
+    return fs, int(round(fs * cfg.duration)), m_max
 
-    f = draw_margin_trial(sig_seed, lattice, cfg.n_channels, K, m_max, margin,
+
+def fold_lattice(cfg: ExperimentConfig, family: str) -> ScaledLattice:
+    """The sweep's folding lattice of one family (E8 is always 8-D)."""
+    return make_lattice(family, cfg.n_channels if family != E8 else 8, cfg.lam)
+
+
+def draw_folded(cfg: ExperimentConfig, of, lattice: ScaledLattice, sig_seed):
+    """One trial's signal folded with ``lattice``: read-only (record, offsets)."""
+    _, K, m_max = _geometry(cfg, of)
+    sig_act, _, leak_amp = ACTIVE_SCHEDULE[int(of)]
+    f = draw_margin_trial(sig_seed, lattice, cfg.n_channels, K, m_max, K - sig_act,
                           cfg.dr_factor, leak_amp)
     rec, p_true = fold_signal(f, lattice)
+    rec.samples.setflags(write=False)
+    p_true.setflags(write=False)
+    return rec, p_true
+
+
+def run_trial(cfg: ExperimentConfig, of, kind: str, level, arch: str, sig_seed,
+              noise_seed, drawn=None):
+    """One seeded trial; returns (all offsets recovered, channel MSE per coordinate).
+
+    ``drawn`` is the trial's ``draw_folded`` output when the caller shares
+    it between architectures; None draws it here from ``sig_seed``.
+    """
+    layout = ARCHITECTURES[arch]
+    if drawn is None:
+        drawn = draw_folded(cfg, of, fold_lattice(cfg, layout["fold"]), sig_seed)
+    rec, p_true = drawn
+    lattice = rec.lattice
     clean = rec.samples
+    fs, K, m_max = _geometry(cfg, of)
+    band = m_max / cfg.duration
+    _, solver_act, _ = ACTIVE_SCHEDULE[int(of)]
 
     if kind == "snr" and level is not None:
         rec = add_noise(rec, float(level), noise_seed, law=cfg.noise_law)
     elif kind == "bits" and level is not None:
         if layout["quantizer"] == "scalar":
-            rec = scalar_quantize(rec, int(level), cfg.lam)
+            rec = scalar_quantize(rec, float(level), cfg.lam)
         elif layout["quantizer"] == "lattice":
-            rec = lattice_quantize(rec, lattice, int(level))
+            rec = lattice_quantize(rec, lattice, float(level))
         else:
             raise ConfigurationError(f"architecture {arch} has no quantizer")
 
@@ -289,21 +315,44 @@ def run_trial(cfg: ExperimentConfig, of, kind: str, level, arch: str, sig_seed, 
     return chk.full_success, mse
 
 
-def _run_cell_trials(cfg: ExperimentConfig, of, kind: str, level, arch: str) -> CellResult:
-    eff_kind = "clean" if level is None else kind
+def _shared_draws(cfg: ExperimentConfig, of, kind: str, level) -> Mapping:
+    """Every trial's ``draw_folded`` per fold family of one (OF, level) group.
+
+    Keyed ``(family, trial)``. The signal seed does not depend on the
+    architecture, so every architecture that folds with the same lattice
+    reads the same entry. A family stops at its first draw that raises:
+    each cell's trial there draws again and fails as a cell error, and
+    a cell runs no trial after its first failure.
+    """
+    draws = {}
+    for family in dict.fromkeys(ARCHITECTURES[a]["fold"] for a in cfg.architectures):
+        try:
+            lattice = fold_lattice(cfg, family)
+            for t in range(cfg.n_trials):
+                draws[family, t] = draw_folded(
+                    cfg, of, lattice, trial_seed(cfg.master_seed, of, kind, level, t))
+        except Exception:                 # reported by the cells, as above
+            pass
+    return MappingProxyType(draws)
+
+
+def _run_cell_trials(cfg: ExperimentConfig, of, kind: str, level, arch: str,
+                     draws: Mapping) -> CellResult:
+    family = ARCHITECTURES[arch]["fold"]
     t0 = time.perf_counter()
     succ, error = [], None
     try:
         for t in range(cfg.n_trials):
-            ok, mse = run_trial(cfg, of, eff_kind, level, arch,
-                                trial_seed(cfg.master_seed, of, eff_kind, level, t),
-                                noise_seed(cfg.master_seed, of, eff_kind, level, t))
+            ok, mse = run_trial(cfg, of, kind, level, arch,
+                                trial_seed(cfg.master_seed, of, kind, level, t),
+                                noise_seed(cfg.master_seed, of, kind, level, t),
+                                draws.get((family, t)))
             if ok:
                 succ.append(mse)
     except Exception as exc:               # per-cell failure, sweep continues
         succ, error = [], f"{type(exc).__name__}: {exc}"
     return CellResult(
-        of=float(of), level_kind=eff_kind,
+        of=float(of), level_kind=kind,
         level=None if level is None else float(level),
         architecture=arch, algorithm=cfg.algorithm,
         n_trials=cfg.n_trials, n_success=len(succ),
@@ -321,25 +370,33 @@ def _check_config(cfg: ExperimentConfig) -> None:
             raise ConfigurationError(f"unknown {name} {bad[0]!r}, known: {sorted(known)}")
     if cfg.n_trials < 1:
         raise ConfigurationError(f"n_trials must be >= 1, got {cfg.n_trials!r}")
+    for check, levels in ((_check_snr, cfg.snr_db_list), (_check_bits, cfg.bits_list)):
+        for level in [v for v in levels if v is not None]:
+            try:
+                check(level)
+            except (TypeError, ValueError) as exc:
+                raise ConfigurationError(str(exc)) from None
 
 
 def run_sweep(cfg: ExperimentConfig) -> ExperimentResult:
     """Run every (OF, level, architecture) cell of the sweep, in grid order.
 
     Per-trial seeds hash the cell coordinates and the trial index, so adding
-    grid cells never perturbs existing ones. A config no cell can run raises
-    ConfigurationError before the first cell.
+    grid cells never perturbs existing ones. The architectures of one
+    (OF, level) group share each trial's draw and fold (``_shared_draws``).
+    A config no cell can run raises ConfigurationError before the first
+    cell.
     """
     _check_config(cfg)
     levels = [("snr", s) for s in cfg.snr_db_list] + \
              [("bits", b) for b in cfg.bits_list]
-    if not levels:
-        levels = [("clean", None)]
-    grid = [(of, kind, level, arch)
-            for of in cfg.of_list
-            for kind, level in levels
-            for arch in cfg.architectures]
-    cells = [_run_cell_trials(cfg, *g) for g in grid]
+    cells = []
+    for of in cfg.of_list:
+        for kind, level in levels or [("clean", None)]:
+            kind = "clean" if level is None else kind
+            draws = _shared_draws(cfg, of, kind, level)
+            cells += [_run_cell_trials(cfg, of, kind, level, arch, draws)
+                      for arch in cfg.architectures]
     return ExperimentResult(config=cfg, cells=tuple(cells))
 
 

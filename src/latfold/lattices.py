@@ -16,6 +16,7 @@ vector ``(n,)`` or a batch ``(m, n)``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import partial
 from itertools import combinations, product
@@ -47,11 +48,12 @@ class NonFiniteInputError(ValueError):
 class ScaledLattice:
     """A lattice family instantiated at dimension ``n`` and inradius ``lam``.
 
-    ``basis`` holds the generator matrix (columns are basis vectors),
-    ``d_min`` the minimum distance (= ``2*lam``) and ``volume`` the
-    fundamental cell volume ``|det basis|``. ``scale`` maps the family's
-    unit coset coordinates to signal units: one factor for every axis, or
-    a read-only per-axis array where the axes differ (a2).
+    ``basis`` holds the generator matrix (columns are basis vectors) and
+    ``basis_inv`` its inverse, both read-only; ``d_min`` the minimum
+    distance (= ``2*lam``) and ``volume`` the fundamental cell volume
+    ``|det basis|``. ``scale`` maps the family's unit coset coordinates to
+    signal units: one factor for every axis, or a read-only per-axis array
+    where the axes differ (a2).
     """
 
     family: str
@@ -61,9 +63,28 @@ class ScaledLattice:
     d_min: float
     volume: float
     scale: float | np.ndarray
+    basis_inv: np.ndarray
 
     def __post_init__(self):
         self.basis.setflags(write=False)
+        self.basis_inv.setflags(write=False)
+
+    @property
+    def covering_radius(self) -> float:
+        """Largest distance from any point to its nearest lattice point.
+
+        Attained at the deep holes (Conway & Sloane, SPLAG, ch. 2 and 4):
+        ``lam*(1, ..., 1)`` for Z^n, a hexagon vertex for a2,
+        ``scale*(1, 0, ..., 0)`` and ``scale*(1/2, ..., 1/2)`` for D_n, and
+        ``scale*(1, 0^7)`` for E8.
+        """
+        if self.family == ZN:
+            return self.lam * math.sqrt(self.n)
+        if self.family == A2:
+            return 2.0 * self.lam / math.sqrt(3.0)
+        if self.family == DN:
+            return self.scale * max(1.0, math.sqrt(self.n) / 2.0)
+        return self.scale                                   # e8
 
 
 def _unit_dn_basis(n: int) -> np.ndarray:
@@ -120,7 +141,8 @@ def make_lattice(family: str, n: int, lam: float) -> ScaledLattice:
     else:
         raise ConfigurationError(f"unknown lattice family {family!r}")
     return ScaledLattice(family=family, n=n, lam=lam, basis=basis,
-                         d_min=2.0 * lam, volume=float(volume), scale=scale)
+                         d_min=2.0 * lam, volume=float(volume), scale=scale,
+                         basis_inv=np.linalg.inv(basis))
 
 
 def _round_half_toward_zero(u: np.ndarray, half=0.5) -> np.ndarray:
@@ -248,10 +270,32 @@ def fold(x, lattice: ScaledLattice):
     return x - offset, offset
 
 
+def folds_to_zero(x, lattice: ScaledLattice) -> bool:
+    """Whether every row of ``x`` has the origin as its nearest lattice point.
+
+    Equals ``np.all(nearest_point(x, lattice) == 0)`` but decides from row
+    norms first: a row farther out than the covering radius has a nearer
+    lattice point, and a row strictly inside the inradius has none. A 1e-9
+    relative margin on both radii leaves every close case, ties included,
+    to the decoder, which sees only the rows between the two radii.
+    """
+    x = np.asarray(x, dtype=float)
+    if x.shape[-1:] != (lattice.n,):
+        raise ConfigurationError(f"{lattice.family}({lattice.n}) got shape {x.shape}")
+    if not np.isfinite(x).all():
+        raise NonFiniteInputError("nearest point of a non-finite vector")
+    x = x.reshape(-1, lattice.n)
+    r2 = np.einsum("ij,ij->i", x, x)
+    if r2.max(initial=0.0) > (lattice.covering_radius * (1.0 + 1e-9)) ** 2:
+        return False
+    between = r2 >= (lattice.lam * (1.0 - 1e-9)) ** 2
+    return not (between.any() and nearest_point(x[between], lattice).any())
+
+
 def lattice_coords(lattice: ScaledLattice, v) -> np.ndarray:
     """Real-valued basis coordinates ``k`` with ``basis @ k = v`` (row-wise)."""
     v = np.asarray(v, dtype=float)
-    return np.linalg.solve(lattice.basis, np.atleast_2d(v).T).T.reshape(v.shape)
+    return (lattice.basis_inv @ np.atleast_2d(v).T).T.reshape(v.shape)
 
 
 def is_lattice_point(lattice: ScaledLattice, v, rtol: float = 1e-9) -> bool:
@@ -263,9 +307,8 @@ def is_lattice_point(lattice: ScaledLattice, v, rtol: float = 1e-9) -> bool:
 def snap_to_lattice(lattice: ScaledLattice, v) -> np.ndarray:
     """Round basis coordinates to integers and map back (exact cleanup)."""
     v = np.asarray(v, dtype=float)
-    k = np.round(np.linalg.solve(lattice.basis, np.atleast_2d(v).T))
-    out = (lattice.basis @ k).T
-    return out.reshape(v.shape)
+    k = np.round(lattice.basis_inv @ np.atleast_2d(v).T)
+    return (lattice.basis @ k).T.reshape(v.shape)
 
 
 def _pm_pairs(n: int) -> np.ndarray:

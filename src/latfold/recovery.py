@@ -75,9 +75,13 @@ def _dft_rows(K: int, bins: np.ndarray, columns: np.ndarray) -> np.ndarray:
     return np.vstack([F.real, F.imag])
 
 
+@functools.lru_cache(maxsize=32)
 def build_oob_operator(K: int, omega_max: float, fs: float,
                        guard: float = 0.1) -> OobOperator:
-    """Select all K-point DFT bins with |frequency| > omega_max*(1+guard)."""
+    """Select all K-point DFT bins with |frequency| > omega_max*(1+guard).
+
+    Memoized: the operator is immutable, so equal arguments share one.
+    """
     if fs <= 2.0 * omega_max * (1.0 + guard):
         raise ConfigurationError("sampling rate leaves no out-of-band bins")
     m = np.arange(K)
@@ -229,7 +233,7 @@ def b2r2_recover(rec: FoldedRecord, lattice: ScaledLattice, oob: OobOperator,
     opts = opts or B2R2Options()
     y = rec.samples
     p_fix, rounds, obj = _b2r2_lstsq(y, lattice, oob, opts)
-    p_hat = snap_to_lattice(lattice, nearest_point(p_fix, lattice))
+    p_hat = snap_to_lattice(lattice, p_fix)     # rows are decoder outputs or 0
     return RecoveryResult(f_hat=y + p_hat, p_hat=p_hat, iterations=rounds,
                           converged=True, objective=obj)
 
@@ -335,8 +339,8 @@ def check_recovery(p_hat: np.ndarray, p_true: np.ndarray,
     p_true = np.asarray(p_true, dtype=float)
     if p_hat.shape != p_true.shape:
         raise ConfigurationError("offset arrays must have identical shape")
-    k_hat = np.round(np.linalg.solve(lattice.basis, p_hat.T))
-    k_true = np.round(np.linalg.solve(lattice.basis, p_true.T))
+    k_hat = np.round(lattice.basis_inv @ p_hat.T)
+    k_true = np.round(lattice.basis_inv @ p_true.T)
     row_bad = np.any(k_hat != k_true, axis=0)
     errors = int(row_bad.sum())
     return RecoveryCheck(full_success=errors == 0, sample_error_count=errors)

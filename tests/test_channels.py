@@ -135,6 +135,16 @@ def test_channel_input_validation():
             lattice_quantize(rec, rec.lattice, bits)
 
 
+def test_quantizers_reject_non_integer_bits():
+    # 2.5 bits must not run as 2 bits; an integral float (from JSON) is fine
+    rec = _cell_record(E8, 8, 1.0, 10)
+    for quantize in (lambda b: scalar_quantize(rec, b, 1.0),
+                     lambda b: lattice_quantize(rec, rec.lattice, b)):
+        with pytest.raises(ValueError, match="got 2.5"):
+            quantize(2.5)
+        assert np.array_equal(quantize(8.0).samples, quantize(8).samples)
+
+
 def test_fold_signal_offsets_consistent():
     lat = make_lattice(ZN, 2, 1.0)
     f = np.array([[2.5, -3.1], [0.2, 0.9]])

@@ -5,12 +5,12 @@ import re
 import numpy as np
 import pytest
 
-from latfold import (ConfigurationError, ExperimentConfig, emit_tables,
-                     run_sweep, table3_config, table4_config)
+from latfold import (E8, ZN, ConfigurationError, ExperimentConfig,
+                     emit_tables, run_sweep, table3_config, table4_config)
 from latfold.cli import main
-from latfold.experiments import (DemoRecoveryError, demo_power_ratio,
-                                 emit_trajectory_demo, quantize_bench,
-                                 trial_seed)
+from latfold.experiments import (DemoRecoveryError, _shared_draws,
+                                 demo_power_ratio, emit_trajectory_demo,
+                                 quantize_bench, trial_seed)
 
 
 def _tiny_config(**kw):
@@ -88,6 +88,10 @@ def test_sweep_bad_architecture_is_cell_error():
     ("architectures", ("square", "hex"), "architecture 'hex'"),
     ("algorithm", "nope", "algorithm 'nope'"),
     ("n_trials", 0, "n_trials must be >= 1, got 0"),
+    ("snr_db_list", (25, -5), "snr_db must be positive (or inf), got -5"),
+    ("bits_list", (0,), "bits must be an integer in 1..24 or inf, got 0"),
+    ("bits_list", (4, 25), "bits must be an integer in 1..24 or inf, got 25"),
+    ("bits_list", (2.5,), "bits must be an integer in 1..24 or inf, got 2.5"),
 ])
 def test_sweep_rejects_bad_config_up_front(field, value, named, monkeypatch):
     import latfold.experiments as experiments
@@ -110,13 +114,65 @@ def test_cli_sweep_reports_bad_config(tmp_path, capsys):
 
 
 def test_sweep_csv_pinned():
-    # digests of the preset tables at 2 trials, seed 0: any change to the
-    # trial pipeline that moves a single outcome or MSE digit shows here
-    for make, digest in (
-            (table3_config, "bdced0a6001186901a4f38d8a1f45fb950d59117e6f17307c07a8cc58cf59478"),
-            (table4_config, "0f3fc7474ca9f8a5ed5611dd8beecff32e189e6c9ab533b5bdff44f2526bd862")):
-        out = emit_tables(run_sweep(make(n_trials=2, master_seed=0)), "csv")
+    # digests of the preset tables at 2 trials, seeds 0 and 3: any change to
+    # the trial pipeline that moves a single outcome or MSE digit shows here
+    for make, seed, digest in (
+            (table3_config, 0, "bdced0a6001186901a4f38d8a1f45fb950d59117e6f17307c07a8cc58cf59478"),
+            (table4_config, 0, "0f3fc7474ca9f8a5ed5611dd8beecff32e189e6c9ab533b5bdff44f2526bd862"),
+            (table3_config, 3, "c776a1b907d0f33416b284b13ac3254d6605b78fc1a99b944747ca05803a2fae"),
+            (table4_config, 3, "4f7044421f2dea3a21bf962a15031689b2a9095e609b938d280013d7149e9b00")):
+        out = emit_tables(run_sweep(make(n_trials=2, master_seed=seed)), "csv")
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_shared_draws_leave_rows_unchanged(monkeypatch):
+    import latfold.experiments as experiments
+    grid = dict(of_list=(4, 6), snr_db_list=(), bits_list=(4, None), n_trials=3,
+                master_seed=2)
+
+    def rows(archs, arch):
+        out = emit_tables(run_sweep(ExperimentConfig(architectures=archs, **grid)), "csv")
+        return [r for r in out.splitlines() if f",{arch}," in r]
+
+    alone = rows(("e8+e8q",), "e8+e8q")
+    draws = []
+    original = experiments.draw_folded
+    monkeypatch.setattr(experiments, "draw_folded",
+                        lambda *a: draws.append(a) or original(*a))
+    assert rows(("e8+sqq", "e8+e8q"), "e8+e8q") == alone
+    assert len(alone) == 4 and len(draws) == 4 * 3       # one draw per group and trial
+
+
+def test_failed_draws_stay_cell_errors(monkeypatch):
+    import latfold.experiments as experiments
+    bad_lam = run_sweep(_tiny_config(lam=-1.0))
+    assert [c.error for c in bad_lam.cells] == \
+        ["ConfigurationError: inradius must be positive, got -1.0"] * 2
+    original = experiments.draw_margin_trial
+
+    def fail_second_e8_trial(seed, lattice, *a):
+        if lattice.family == E8 and seed.entropy[-1] == 1:
+            raise ConfigurationError("could not draw a fold-free margin signal")
+        return original(seed, lattice, *a)
+
+    monkeypatch.setattr(experiments, "draw_margin_trial", fail_second_e8_trial)
+    square, e8 = run_sweep(_tiny_config()).cells
+    assert square.error is None and square.rate == 1.0
+    assert e8.error == "ConfigurationError: could not draw a fold-free margin signal"
+
+
+def test_shared_draws_are_read_only():
+    cfg = _tiny_config(architectures=("e8+sqq", "sq+sqq", "e8+e8q"), n_trials=2)
+    draws = _shared_draws(cfg, 6, "clean", None)
+    assert sorted(draws) == [(E8, 0), (E8, 1), (ZN, 0), (ZN, 1)]
+    for rec, p_true in draws.values():
+        for a in (rec.samples, p_true):
+            with pytest.raises(ValueError):
+                a[0, 0] = 1.0
+    with pytest.raises(TypeError):
+        draws[E8, 0] = None
+    assert _shared_draws(_tiny_config(architectures=()), 6, "clean", None) == {}
+    assert run_sweep(_tiny_config(architectures=())).cells == ()
 
 
 def test_emit_csv_byte_stable():

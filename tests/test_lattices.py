@@ -3,10 +3,10 @@ import pytest
 from itertools import product
 
 from latfold import (A2, DN, E8, ZN, ConfigurationError, NonFiniteInputError,
-                     fold, fold_iterative, in_voronoi_cell, is_lattice_point,
-                     make_lattice, nearest_point, nearest_point_dn,
-                     nearest_point_e8, nearest_point_zn, relevant_vectors,
-                     voronoi_cell_polygon)
+                     fold, fold_iterative, folds_to_zero, in_voronoi_cell,
+                     is_lattice_point, make_lattice, nearest_point,
+                     nearest_point_dn, nearest_point_e8, nearest_point_zn,
+                     relevant_vectors, voronoi_cell_polygon)
 
 UNIT_E8 = 1.0 / np.sqrt(2.0)   # inradius that puts dn/e8 at unit-lattice scale
 
@@ -240,6 +240,84 @@ def test_nearest_point_rejects_wrong_width(family, n):
             nearest_point(np.full((2, width), 0.3), lat)
         with pytest.raises(ConfigurationError):
             fold(np.full(width, 0.3), lat)
+
+
+# ------------------------------------------- covering radius and margin check
+
+FAMILY_DIMS = [(ZN, 2), (ZN, 5), (A2, 2), (DN, 3), (DN, 4), (DN, 6), (E8, 8)]
+
+
+def _deep_holes(lat):
+    """Points at the covering radius: 0 ties with other nearest points there."""
+    lam, n = lat.lam, lat.n
+    if lat.family == ZN:
+        return [np.full(n, lam)]
+    if lat.family == A2:
+        return [np.array([lam, lam / np.sqrt(3.0)])]       # a hexagon vertex
+    if lat.family == E8:
+        return [lat.scale * np.eye(n)[0]]
+    # D_n: scale * e_1 up to n = 4, the half vector from n = 4 on
+    return [h for h, deep in ((lat.scale * np.eye(n)[0], n <= 4),
+                              (lat.scale * np.full(n, 0.5), n >= 4)) if deep]
+
+
+@pytest.mark.parametrize("family,n", FAMILY_DIMS)
+def test_covering_radius_bounds_every_point(family, n):
+    lat = make_lattice(family, n, 0.7)
+    x = np.random.default_rng(11).uniform(-6, 6, (3000, n))
+    d = np.linalg.norm(x - nearest_point(x, lat), axis=1)
+    assert d.max() <= lat.covering_radius * (1 + 1e-12)
+    holes = _deep_holes(lat)
+    assert holes
+    for hole in holes:
+        for k in (np.zeros(n), np.arange(n) % 3 - 1.0):    # and a lattice shift
+            x = hole + lat.basis @ k
+            d = np.linalg.norm(x - nearest_point(x, lat))
+            assert d == pytest.approx(lat.covering_radius, rel=1e-12)
+
+
+def _margin_rows(lat, rng):
+    """Random rows from 0.5 lam to 1.2x the covering radius, then facet
+    midpoints, random directions at lam, and deep holes, each at 1 and
+    1 +- 1e-12 times its norm."""
+    n, lam, cov = lat.n, lat.lam, lat.covering_radius
+    u = rng.standard_normal((600, n))
+    u /= np.linalg.norm(u, axis=1, keepdims=True)
+    rows = [u * rng.uniform(0.5 * lam, 1.2 * cov, (600, 1))]
+    mids = relevant_vectors(lat) / 2.0            # facet midpoints, norm lam
+    for f in (1.0 - 1e-12, 1.0, 1.0 + 1e-12):
+        rows += [f * mids, f * lam * u[:50]]
+        rows += [f * h[None] for h in _deep_holes(lat)]
+    return np.vstack(rows)
+
+
+@pytest.mark.parametrize("family,n", FAMILY_DIMS)
+def test_folds_to_zero_agrees_with_decoder(family, n):
+    lat = make_lattice(family, n, 0.7)
+    rng = np.random.default_rng(12)
+    rows = _margin_rows(lat, rng)
+    zero = np.all(nearest_point(rows, lat) == 0, axis=1)
+    assert zero.any() and not zero.all()
+    for r, z in zip(rows, zero):
+        assert folds_to_zero(r, lat) == z
+        assert folds_to_zero(r[None], lat) == z
+    for _ in range(200):                          # batches mix the cases
+        pick = rng.choice(len(rows), size=4, replace=False)
+        assert folds_to_zero(rows[pick], lat) == zero[pick].all()
+    assert folds_to_zero(np.zeros((0, n)), lat)
+
+
+@pytest.mark.parametrize("family,n", FAMILY_DIMS)
+def test_folds_to_zero_rejects_bad_input(family, n):
+    lat = make_lattice(family, n, 0.7)
+    for bad in (np.nan, np.inf, -np.inf):
+        x = np.zeros((3, n))
+        x[0, 0] = 10.0 * lat.covering_radius     # beyond the covering radius
+        x[2, -1] = bad
+        with pytest.raises(NonFiniteInputError):
+            folds_to_zero(x, lat)
+    with pytest.raises(ConfigurationError):
+        folds_to_zero(np.zeros((2, n + 1)), lat)
 
 
 # --------------------------------------------------------------------- fold

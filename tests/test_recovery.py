@@ -39,6 +39,12 @@ def test_oob_selected_bins_read_only():
         oob.selected_bins[0] = 0
 
 
+def test_oob_operator_memoized():
+    oob = build_oob_operator(120, 10.0, 120.0, guard=0.1)
+    assert build_oob_operator(120, 10.0, 120.0, guard=0.1) is oob
+    assert build_oob_operator(120, 10.0, 120.0, guard=0.2) is not oob
+
+
 def test_oob_keeps_own_copy_of_bins():
     bins = np.arange(30, 90)
     oob = OobOperator(K=120, omega_max=10.0, fs=120.0, guard=0.1,
