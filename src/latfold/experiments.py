@@ -270,16 +270,13 @@ def draw_folded(cfg: ExperimentConfig, of, lattice: ScaledLattice, sig_seed):
     return rec, p_true
 
 
-def run_trial(cfg: ExperimentConfig, of, kind: str, level, arch: str, sig_seed,
-              noise_seed, drawn=None):
-    """One seeded trial; returns (all offsets recovered, channel MSE per coordinate).
+def run_trial(cfg: ExperimentConfig, of, kind: str, level, arch: str, drawn,
+              noise_seed):
+    """One trial of a ``draw_folded`` draw ``(record, offsets)``.
 
-    ``drawn`` is the trial's ``draw_folded`` output when the caller shares
-    it between architectures; None draws it here from ``sig_seed``.
+    Returns (all offsets recovered, channel MSE per coordinate).
     """
     layout = ARCHITECTURES[arch]
-    if drawn is None:
-        drawn = draw_folded(cfg, of, fold_lattice(cfg, layout["fold"]), sig_seed)
     rec, p_true = drawn
     lattice = rec.lattice
     clean = rec.samples
@@ -320,19 +317,20 @@ def _shared_draws(cfg: ExperimentConfig, of, kind: str, level) -> Mapping:
 
     Keyed ``(family, trial)``. The signal seed does not depend on the
     architecture, so every architecture that folds with the same lattice
-    reads the same entry. A family stops at its first draw that raises:
-    each cell's trial there draws again and fails as a cell error, and
-    a cell runs no trial after its first failure.
+    reads the same entry. A family stops at its first draw that raises and
+    stores the exception as that trial's entry; each cell of the family
+    raises it there as its cell error.
     """
     draws = {}
     for family in dict.fromkeys(ARCHITECTURES[a]["fold"] for a in cfg.architectures):
+        t = 0
         try:
             lattice = fold_lattice(cfg, family)
             for t in range(cfg.n_trials):
                 draws[family, t] = draw_folded(
                     cfg, of, lattice, trial_seed(cfg.master_seed, of, kind, level, t))
-        except Exception:                 # reported by the cells, as above
-            pass
+        except Exception as exc:          # reported by the cells, as above
+            draws[family, t] = exc
     return MappingProxyType(draws)
 
 
@@ -343,10 +341,11 @@ def _run_cell_trials(cfg: ExperimentConfig, of, kind: str, level, arch: str,
     succ, error = [], None
     try:
         for t in range(cfg.n_trials):
-            ok, mse = run_trial(cfg, of, kind, level, arch,
-                                trial_seed(cfg.master_seed, of, kind, level, t),
-                                noise_seed(cfg.master_seed, of, kind, level, t),
-                                draws.get((family, t)))
+            drawn = draws[family, t]
+            if isinstance(drawn, Exception):
+                raise drawn
+            ok, mse = run_trial(cfg, of, kind, level, arch, drawn,
+                                noise_seed(cfg.master_seed, of, kind, level, t))
             if ok:
                 succ.append(mse)
     except Exception as exc:               # per-cell failure, sweep continues

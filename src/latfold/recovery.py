@@ -240,10 +240,8 @@ def b2r2_recover(rec: FoldedRecord, lattice: ScaledLattice, oob: OobOperator,
 
 @dataclass(frozen=True)
 class LassoOptions:
-    mu: Optional[float] = None     # None -> 0.1 * max |F y|
     tol: float = 1e-13
     max_iters: int = 6000
-    debias: bool = True
 
 
 def _cumsum_adjoint(g: np.ndarray) -> np.ndarray:
@@ -259,11 +257,10 @@ def lasso_b2r2_recover(rec: FoldedRecord, lattice: ScaledLattice,
     (fold events are sparse in time), and solves by proximal gradient with
     step ``1/L`` where ``L`` is estimated by power iteration. After
     convergence the detected support is refit by least squares to remove
-    the shrinkage bias, then ``C v`` is rounded to the lattice.
+    the shrinkage bias, then ``C v`` is rounded to the lattice. ``mu``
+    weighs the l1 penalty; None means ``0.1 * max |F y|``.
     """
     opts = opts or LassoOptions()
-    if mu is None:
-        mu = opts.mu
     y = rec.samples
     K = oob.K
     Fy = oob.apply(y)
@@ -312,19 +309,18 @@ def lasso_b2r2_recover(rec: FoldedRecord, lattice: ScaledLattice,
             break
         v_prev, v, prev_obj, t_mom = v, v_new, obj, t_mom + 1.0
 
-    if opts.debias:
-        peak = float(np.abs(v).max())
-        rows = np.where(np.abs(v).max(axis=1) > 1e-8 * max(peak, 1e-300))[0]
-        if rows.size:
-            C = np.zeros((K, rows.size))
-            for j, i in enumerate(rows):
-                C[i:, j] = 1.0
-            Fc = np.fft.fft(C, axis=0)[oob.selected_bins]
-            A = np.vstack([Fc.real, Fc.imag])
-            b = -np.vstack([Fy.real, Fy.imag])
-            sol, *_ = np.linalg.lstsq(A, b, rcond=None)
-            v = np.zeros_like(v)
-            v[rows] = sol
+    peak = float(np.abs(v).max())
+    rows = np.where(np.abs(v).max(axis=1) > 1e-8 * max(peak, 1e-300))[0]
+    if rows.size:
+        C = np.zeros((K, rows.size))
+        for j, i in enumerate(rows):
+            C[i:, j] = 1.0
+        Fc = np.fft.fft(C, axis=0)[oob.selected_bins]
+        A = np.vstack([Fc.real, Fc.imag])
+        b = -np.vstack([Fy.real, Fy.imag])
+        sol, *_ = np.linalg.lstsq(A, b, rcond=None)
+        v = np.zeros_like(v)
+        v[rows] = sol
 
     p_hat = snap_to_lattice(lattice, nearest_point(np.cumsum(v, axis=0), lattice))
     obj = float((np.abs(oob.apply(p_hat) + Fy) ** 2).sum())

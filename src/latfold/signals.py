@@ -152,12 +152,3 @@ def make_test_signal(cfg: SignalConfig, lam: float):
     sampled = sample_signal(sig, cfg)
     normalized, c = normalize_dr(sampled, lam, cfg.dr_factor)
     return sig.scaled(c), normalized
-
-
-def export_csv(sampled: SampledSignal, path) -> None:
-    """Write ``t, ch0, ..., ch{n-1}`` rows."""
-    K, n = sampled.samples.shape
-    header = "t," + ",".join(f"ch{i}" for i in range(n))
-    data = np.column_stack([sampled.times, sampled.samples])
-    np.savetxt(path, data, delimiter=",", header=header, comments="",
-               fmt="%.12g")

@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
-from itertools import product
 
 from latfold import (A2, DN, E8, ZN, ConfigurationError, NonFiniteInputError,
                      fold, fold_iterative, folds_to_zero, in_voronoi_cell,
                      is_lattice_point, make_lattice, nearest_point,
                      nearest_point_dn, nearest_point_e8, nearest_point_zn,
                      relevant_vectors, voronoi_cell_polygon)
+from oracles import closest_point
 
 UNIT_E8 = 1.0 / np.sqrt(2.0)   # inradius that puts dn/e8 at unit-lattice scale
 
@@ -74,11 +74,8 @@ def test_dn_worked_reference_vector():
 
 def test_dn_fixed_point_and_brute():
     assert np.array_equal(nearest_point_dn(np.array([0.0, 0.0]), 1.0), [0, 0])
-    # brute force over even-sum integer vectors in [-2, 2]^2
     x = np.array([0.6, 0.6])
-    cands = [np.array(k) for k in product(range(-2, 3), repeat=2)
-             if sum(k) % 2 == 0]
-    best = min(cands, key=lambda c: ((x - c) ** 2).sum())
+    best = closest_point(x, [[1.0, 1.0], [1.0, -1.0]])    # D2: even-sum Z^2
     assert np.array_equal(nearest_point_dn(x, 1.0), best)
     assert np.array_equal(best, [1, 1])
 
@@ -151,69 +148,26 @@ def test_a2_near_tie_within_coset_smaller_norm():
 
 def test_a2_brute_force_window():
     lat = make_lattice(A2, 2, 1.0)
-    ks = np.array(list(product(range(-3, 4), repeat=2)))
-    pts = ks @ lat.basis.T
     x = np.array([1.0, 0.5])
-    d = ((pts - x) ** 2).sum(axis=1)
-    best = d.min()
+    best = closest_point(x, lat.basis)
     got = nearest_point(x, lat)
-    assert ((got - x) ** 2).sum() == pytest.approx(best)
+    assert ((got - x) ** 2).sum() == pytest.approx(((best - x) ** 2).sum())
 
 
-# ------------------------------------------------------------------- oracles
+# ------------------------------------------------------------------- oracle
 
-def _brute_zn(x, lam):
-    s = 2 * lam
-    base = np.floor(x / s)
-    cands = np.array([base + off for off in product((-1, 0, 1, 2), repeat=len(x))])
-    pts = s * cands
-    return pts[np.argmin(((pts - x) ** 2).sum(axis=1))]
+FAMILY_DIMS = [(ZN, 2), (ZN, 5), (A2, 2), (DN, 3), (DN, 4), (DN, 6), (E8, 8)]
 
 
-def _int_window(u, reach):
-    axes = [np.arange(np.floor(ui - reach), np.ceil(ui + reach) + 1) for ui in u]
-    return np.array(list(product(*axes)))
-
-
-def _brute_dn(x, lam):
-    s = lam * np.sqrt(2)
-    u = x / s
-    cand = _int_window(u, 1.26)          # unit D4 covering radius is 1
-    cand = cand[np.abs(cand.sum(axis=1)) % 2 < 0.5]
-    d = ((cand - u) ** 2).sum(axis=1)
-    return s * cand[np.argmin(d)]
-
-
-def _brute_e8(x, lam):
-    s = lam * np.sqrt(2)
-    u = x / s
-    ci = _int_window(u, 1.01)            # unit E8 covering radius is 1
-    ci = ci[np.abs(ci.sum(axis=1)) % 2 < 0.5]
-    ch = _int_window(u - 0.5, 1.01) + 0.5
-    ch = ch[np.abs(ch.sum(axis=1)) % 2 < 0.5]
-    cand = np.vstack([ci, ch])
-    d = ((cand - u) ** 2).sum(axis=1)
-    return s * cand[np.argmin(d)]
-
-
-def _brute_a2(x, lam):
-    lat = make_lattice(A2, 2, lam)
-    ks = np.array(list(product(range(-10, 11), repeat=2)))
-    pts = ks @ lat.basis.T
-    return pts[np.argmin(((pts - x) ** 2).sum(axis=1))]
-
-
-@pytest.mark.parametrize("family,n,brute", [
-    (ZN, 2, _brute_zn), (A2, 2, _brute_a2), (DN, 4, _brute_dn), (E8, 8, _brute_e8),
-])
-def test_nearest_point_matches_brute_force(family, n, brute):
+@pytest.mark.parametrize("family,n", FAMILY_DIMS)
+def test_nearest_point_matches_brute_force(family, n):
     lam = 0.8
     lat = make_lattice(family, n, lam)
     rng = np.random.default_rng(42)
     for _ in range(300):
         x = rng.uniform(-5 * lam, 5 * lam, n) + 1e-6 * rng.standard_normal(n)
         got = nearest_point(x, lat)
-        ref = brute(x, lam)
+        ref = closest_point(x, lat.basis)
         d_got = ((x - got) ** 2).sum()
         d_ref = ((x - ref) ** 2).sum()
         assert d_got == pytest.approx(d_ref, rel=1e-10, abs=1e-12)
@@ -243,9 +197,6 @@ def test_nearest_point_rejects_wrong_width(family, n):
 
 
 # ------------------------------------------- covering radius and margin check
-
-FAMILY_DIMS = [(ZN, 2), (ZN, 5), (A2, 2), (DN, 3), (DN, 4), (DN, 6), (E8, 8)]
-
 
 def _deep_holes(lat):
     """Points at the covering radius: 0 ties with other nearest points there."""

@@ -3,7 +3,7 @@ import pytest
 
 from latfold import (DegenerateSignalError, SignalConfig, generate_multisine,
                      make_test_signal, normalize_dr, sample_signal)
-from latfold.signals import MultisineSignal, SampledSignal, export_csv
+from latfold.signals import MultisineSignal, SampledSignal
 from latfold.recovery import build_oob_operator
 
 
@@ -103,13 +103,3 @@ def test_scaled_handle_matches_samples():
     handle, sampled = make_test_signal(cfg, lam=0.5)
     t = sampled.times
     assert np.allclose(handle(t), sampled.samples, atol=1e-12)
-
-
-def test_export_csv(tmp_path):
-    cfg = SignalConfig(n_channels=2, seed=1)
-    sampled = sample_signal(generate_multisine(cfg), cfg)
-    path = tmp_path / "sig.csv"
-    export_csv(sampled, path)
-    text = path.read_text().splitlines()
-    assert text[0] == "t,ch0,ch1"
-    assert len(text) == 1 + sampled.samples.shape[0]
