@@ -4,15 +4,12 @@ from .lattices import (A2, DN, E8, FAMILIES, ZN, ConfigurationError,
                        NonFiniteInputError, ScaledLattice,
                        UnsupportedLatticeError, fold, fold_iterative,
                        folds_to_zero, in_voronoi_cell, is_lattice_point,
-                       lattice_coords, make_lattice, nearest_point,
-                       nearest_point_dn, nearest_point_e8, nearest_point_zn,
-                       relevant_vectors, snap_to_lattice, voronoi_cell_polygon)
+                       make_lattice, nearest_point, relevant_vectors,
+                       snap_to_lattice, voronoi_cell_polygon)
 from .moments import (EquivalentGains, SecondMomentEstimate, equivalent_gains,
                       estimate_second_moment, mse_ratio, predicted_mse,
                       sample_uniform_cell, table1_report)
-from .signals import (DegenerateSignalError, MultisineSignal, SampledSignal,
-                      SignalConfig, generate_multisine, make_test_signal,
-                      normalize_dr, sample_signal)
+from .signals import DegenerateSignalError, SignalConfig, make_test_signal
 from .channels import (FoldedRecord, add_noise, fold_signal, lattice_quantize,
                        scalar_quantize)
 from .recovery import (B2R2Options, LassoOptions, OobOperator, RecoveryCheck,

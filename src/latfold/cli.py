@@ -20,6 +20,14 @@ def _add_common(p):
     p.add_argument("--format", choices=("csv", "json", "text"), default="text")
 
 
+def _write(out: str, path) -> None:
+    """Write ``out`` to the file ``path``, or to stdout when no path is given."""
+    if path:
+        Path(path).write_text(out)
+    else:
+        sys.stdout.write(out)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="latfold",
@@ -65,10 +73,7 @@ def main(argv=None) -> int:
         out = format_report_csv(rows) if args.format == "csv" else format_report_text(rows)
         if args.format == "json":
             out = json.dumps(rows, indent=2, sort_keys=True) + "\n"
-        if args.out:
-            Path(args.out).write_text(out)
-        else:
-            sys.stdout.write(out)
+        _write(out, args.out)
         return 0
 
     if args.command == "sweep":
@@ -100,9 +105,7 @@ def main(argv=None) -> int:
             result = run_sweep(cfg)
         except ConfigurationError as exc:
             parser.error(str(exc))
-        out = emit_tables(result, fmt=args.format, path=args.out)
-        if not args.out:
-            sys.stdout.write(out)
+        _write(emit_tables(result, fmt=args.format), args.out)
         bad = [c for c in result.cells if c.error]
         if bad:
             for c in bad:
@@ -122,11 +125,7 @@ def main(argv=None) -> int:
     if args.command == "quantize-bench":
         bits = tuple(int(b) for b in args.bits.split(","))
         report = quantize_bench(n_samples=args.samples, seed=args.seed, bits=bits)
-        out = json.dumps(report, indent=2, sort_keys=True) + "\n"
-        if args.out:
-            Path(args.out).write_text(out)
-        else:
-            sys.stdout.write(out)
+        _write(json.dumps(report, indent=2, sort_keys=True) + "\n", args.out)
         return 0
 
     return 2

@@ -11,11 +11,12 @@ and bit-depth range.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import time
 import zlib
-from dataclasses import dataclass, asdict, fields
+from dataclasses import dataclass, asdict, fields, replace
 from pathlib import Path
 from types import MappingProxyType
 from typing import Mapping, Optional
@@ -66,31 +67,26 @@ class DemoRecoveryError(RuntimeError):
 # burst ensemble
 
 
-_modes_cache: dict = {}
-
-
-def concentration_modes(K: int, m_max: int, margin: int):
+@functools.lru_cache(maxsize=32)
+def concentration_modes(K: int, m_max: int, margin: int) -> np.ndarray:
     """In-band (bins 1..m_max) sequences ordered by margin energy fraction.
 
-    Returns ``(leak_fraction, modes)`` with modes as unit-peak columns. The
-    leading columns are the most concentrated on the active window
-    ``[margin, K)``.
+    Returns the modes as read-only unit-peak columns. The leading columns
+    are the most concentrated on the active window ``[margin, K)``.
     """
-    key = (K, m_max, margin)
-    if key not in _modes_cache:
-        k = np.arange(K)
-        cols = []
-        for m in range(1, m_max + 1):
-            cols.append(np.cos(2 * np.pi * m * k / K))
-            cols.append(np.sin(2 * np.pi * m * k / K))
-        W = np.stack(cols, axis=1)
-        G = W.T @ W
-        Gm = W[:margin].T @ W[:margin]
-        vals, vecs = eigh(Gm, G)
-        modes = W @ vecs
-        modes = modes / np.abs(modes).max(axis=0, keepdims=True)
-        _modes_cache[key] = (np.maximum(vals, 0.0), modes)
-    return _modes_cache[key]
+    k = np.arange(K)
+    cols = []
+    for m in range(1, m_max + 1):
+        cols.append(np.cos(2 * np.pi * m * k / K))
+        cols.append(np.sin(2 * np.pi * m * k / K))
+    W = np.stack(cols, axis=1)
+    G = W.T @ W
+    Gm = W[:margin].T @ W[:margin]
+    _, vecs = eigh(Gm, G)
+    modes = W @ vecs
+    modes = modes / np.abs(modes).max(axis=0, keepdims=True)
+    modes.setflags(write=False)
+    return modes
 
 
 def burst_signal(rng: np.random.Generator, n_ch: int, K: int, m_max: int,
@@ -102,7 +98,7 @@ def burst_signal(rng: np.random.Generator, n_ch: int, K: int, m_max: int,
     ``leak_amp`` (at least ``min_modes``); the caller is responsible for
     the fold-free margin check, which depends on the folding lattice.
     """
-    _, modes = concentration_modes(K, m_max, margin)
+    modes = concentration_modes(K, m_max, margin)
     lk = np.abs(modes[:margin]).max(axis=0)
     n_modes = max(min_modes, int((lk <= leak_amp).sum()))
     coef = rng.standard_normal((n_modes, n_ch))
@@ -344,8 +340,9 @@ def _run_cell_trials(cfg: ExperimentConfig, of, kind: str, level, arch: str,
             drawn = draws[family, t]
             if isinstance(drawn, Exception):
                 raise drawn
-            ok, mse = run_trial(cfg, of, kind, level, arch, drawn,
-                                noise_seed(cfg.master_seed, of, kind, level, t))
+            nseed = (noise_seed(cfg.master_seed, of, kind, level, t)
+                     if kind == "snr" else None)    # only the noise draws from it
+            ok, mse = run_trial(cfg, of, kind, level, arch, drawn, nseed)
             if ok:
                 succ.append(mse)
     except Exception as exc:               # per-cell failure, sweep continues
@@ -423,8 +420,7 @@ def _seed_label(c: CellResult) -> int:
     return zlib.crc32(f"{c.of:g}/{c.level_kind}/{c.level}/{c.architecture}".encode())
 
 
-def emit_tables(result: ExperimentResult, fmt: str = "csv",
-                path: Optional[str] = None) -> str:
+def emit_tables(result: ExperimentResult, fmt: str = "csv") -> str:
     """Render the sweep as csv / json / aligned text; byte-stable per config."""
     rows = [_cell_row(c) for c in result.cells]
     cols = ["of", "level_kind", "level", "architecture", "algorithm",
@@ -443,8 +439,6 @@ def emit_tables(result: ExperimentResult, fmt: str = "csv",
                        for r in rows)
     else:
         raise ConfigurationError(f"unknown format {fmt!r}")
-    if path is not None:
-        Path(path).write_text(out)
     return out
 
 
@@ -462,11 +456,10 @@ def _start_in_cell_signal(cfg: SignalConfig, lattice: ScaledLattice,
     """Regenerate until the first sample folds to zero (demo anchor)."""
     seed = cfg.seed
     for _ in range(max_tries):
-        trial_cfg = SignalConfig(**{**asdict(cfg), "seed": seed})
-        handle, sampled = make_test_signal(trial_cfg, lattice.lam)
-        _, p0 = fold(sampled.samples[:1], lattice)
+        f, band = make_test_signal(replace(cfg, seed=seed), lattice.lam)
+        _, p0 = fold(f[:1], lattice)
         if np.all(p0 == 0):
-            return handle, sampled
+            return f, band
         seed += 7919
     raise DemoRecoveryError("no start-in-cell signal found")
 
@@ -483,17 +476,14 @@ def emit_trajectory_demo(outdir, seed: int = 0, lam: float = 1.0,
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     cfg = demo2d_config(seed)
-    fs = cfg.fs
-    K = int(round(cfg.duration * fs))
     summary = {}
     for name, family in (("square", ZN), ("hexagon", A2)):
         lattice = make_lattice(family, 2, lam)
-        handle, sampled = _start_in_cell_signal(cfg, lattice)
-        f = sampled.samples
+        f, band = _start_in_cell_signal(cfg, lattice)
         rec, p_true = fold_signal(f, lattice)
         if not in_voronoi_cell(lattice, rec.samples):
             raise DemoRecoveryError(f"{name}: folded samples left the cell")
-        oob = build_oob_operator(K, handle.occupied_band_hz, fs, 0.05)
+        oob = build_oob_operator(len(f), band, cfg.fs, 0.05)
         result = lasso_b2r2_recover(rec, lattice, oob)
         err = float(np.abs(result.f_hat - f).max())
         peak = float(np.abs(f).max())
@@ -501,7 +491,7 @@ def emit_trajectory_demo(outdir, seed: int = 0, lam: float = 1.0,
             raise DemoRecoveryError(
                 f"{name}: reconstruction error {err:.3e} exceeds 1e-8 * peak "
                 f"(peak {peak:.3f}, iterations {result.iterations})")
-        t = sampled.times
+        t = np.arange(len(f)) / cfg.fs
         data = np.column_stack([t, f, rec.samples, result.f_hat])
         header = "t,orig0,orig1,folded0,folded1,rec0,rec1"
         np.savetxt(outdir / f"demo2d_{name}.csv", data, delimiter=",",
@@ -526,9 +516,9 @@ def demo_power_ratio(lam: float = 1.0, n_trials: int = 200, seed: int = 0) -> fl
     p_hex = p_sq = 0.0
     for i in range(n_trials):
         cfg = demo2d_config(seed + i)
-        _, sampled = make_test_signal(cfg, lam)
-        rh, _ = fold_signal(sampled.samples, hexl)
-        rs, _ = fold_signal(sampled.samples, sq)
+        f, _ = make_test_signal(cfg, lam)
+        rh, _ = fold_signal(f, hexl)
+        rs, _ = fold_signal(f, sq)
         p_hex += (rh.samples**2).sum()
         p_sq += (rs.samples**2).sum()
     return float(p_hex / p_sq)

@@ -237,21 +237,6 @@ def _decode(x, code: _CosetCode, scale) -> np.ndarray:
     return (best * scale).reshape(x.shape)
 
 
-def nearest_point_zn(x, scale: float) -> np.ndarray:
-    """Nearest point of ``scale * Z^n``; half ties round toward zero."""
-    return _decode(x, _CODES[ZN], scale)
-
-
-def nearest_point_dn(x, scale: float) -> np.ndarray:
-    """Nearest point of the scaled checkerboard lattice, O(n) per vector."""
-    return _decode(x, _CODES[DN], scale)
-
-
-def nearest_point_e8(x, scale: float) -> np.ndarray:
-    """Nearest point of scaled E8 = D8 u (D8 + 1/2); exact ties keep D8."""
-    return _decode(x, _CODES[E8], scale)
-
-
 def nearest_point(x, lattice: ScaledLattice) -> np.ndarray:
     """Nearest lattice point of each row of ``x`` (rows of width ``lattice.n``)."""
     if np.shape(x)[-1:] != (lattice.n,):
@@ -292,15 +277,9 @@ def folds_to_zero(x, lattice: ScaledLattice) -> bool:
     return not (between.any() and nearest_point(x[between], lattice).any())
 
 
-def lattice_coords(lattice: ScaledLattice, v) -> np.ndarray:
-    """Real-valued basis coordinates ``k`` with ``basis @ k = v`` (row-wise)."""
-    v = np.asarray(v, dtype=float)
-    return (lattice.basis_inv @ np.atleast_2d(v).T).T.reshape(v.shape)
-
-
 def is_lattice_point(lattice: ScaledLattice, v, rtol: float = 1e-9) -> bool:
     """Membership test: basis coordinates integral to relative tolerance."""
-    k = lattice_coords(lattice, v)
+    k = lattice.basis_inv @ np.atleast_2d(np.asarray(v, dtype=float)).T
     return bool(np.all(np.abs(k - np.round(k)) <= rtol * np.maximum(1.0, np.abs(k))))
 
 

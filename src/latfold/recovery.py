@@ -33,16 +33,13 @@ class RecoveryNumericalError(RuntimeError):
 class OobOperator:
     """Selected out-of-band DFT rows of a K-sample record.
 
-    Row ``m`` applies ``sum_k exp(-j 2 pi m k / K) x[k]``; the selection
-    keeps bins whose frequency magnitude exceeds ``omega_max * (1 + guard)``.
+    Row ``m`` applies ``sum_k exp(-j 2 pi m k / K) x[k]`` for each bin ``m``
+    of ``selected_bins`` (``build_oob_operator`` picks them from a band).
     The operator keeps a read-only copy of the bins: solvers cache factors
     of these rows.
     """
 
     K: int
-    omega_max: float
-    fs: float
-    guard: float
     selected_bins: np.ndarray
 
     def __post_init__(self):
@@ -57,13 +54,6 @@ class OobOperator:
         full = np.zeros((self.K,) + z.shape[1:], dtype=complex)
         full[self.selected_bins] = z
         return self.K * np.fft.ifft(full, axis=0)
-
-    def energy_fraction(self, x: np.ndarray) -> float:
-        """Out-of-band energy as a fraction of total energy."""
-        total = float((np.asarray(x) ** 2).sum()) * self.K
-        if total == 0.0:
-            return 0.0
-        return float((np.abs(self.apply(x)) ** 2).sum()) / total
 
     def rows_for(self, columns: np.ndarray) -> np.ndarray:
         """Real-stacked selected DFT rows restricted to the given samples."""
@@ -89,8 +79,7 @@ def build_oob_operator(K: int, omega_max: float, fs: float,
     sel = np.where(np.abs(freqs) > omega_max * (1.0 + guard))[0]
     if sel.size == 0:
         raise ConfigurationError("out-of-band bin set is empty")
-    return OobOperator(K=K, omega_max=omega_max, fs=fs, guard=guard,
-                       selected_bins=sel)
+    return OobOperator(K=K, selected_bins=sel)
 
 
 @dataclass(frozen=True)

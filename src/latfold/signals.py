@@ -42,113 +42,48 @@ class SignalConfig:
         return self.of * 2.0 * self.omega_max
 
 
-@dataclass(frozen=True)
-class SampledSignal:
-    samples: np.ndarray            # (K, n)
-    fs: float
-    t0: float = 0.0
-
-    @property
-    def times(self) -> np.ndarray:
-        return self.t0 + np.arange(self.samples.shape[0]) / self.fs
-
-
-@dataclass(frozen=True)
-class MultisineSignal:
-    """Continuous-signal handle: per-channel sums of grid-snapped sinusoids.
-
-    Real mode stores ``amp * cos(2 pi m t / duration + phase)`` per channel.
-    Complex-pair mode stores one complex coefficient set; channel 0 is the
-    real part and channel 1 the imaginary part.
-    """
-
-    freqs_hz: np.ndarray           # (n_ch, N_c) or (N_c,) complex mode
-    amps: np.ndarray
-    phases: np.ndarray
-    duration: float
-    complex_pair: bool = False
-    scale: float = 1.0
-
-    def __call__(self, t) -> np.ndarray:
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        if self.complex_pair:
-            c = self.amps * np.exp(1j * self.phases)
-            z = (c[None, :] * np.exp(2j * np.pi * self.freqs_hz[None, :] * t[:, None])).sum(axis=1)
-            out = np.stack([z.real, z.imag], axis=1)
-        else:
-            arg = (2.0 * np.pi * self.freqs_hz[None, :, :] * t[:, None, None]
-                   + self.phases[None, :, :])
-            out = (self.amps[None, :, :] * np.cos(arg)).sum(axis=-1)
-        return self.scale * out
-
-    def scaled(self, factor: float) -> "MultisineSignal":
-        return MultisineSignal(self.freqs_hz, self.amps, self.phases,
-                               self.duration, self.complex_pair,
-                               self.scale * factor)
-
-    @property
-    def occupied_band_hz(self) -> float:
-        return float(np.abs(self.freqs_hz).max())
-
-
 def _snap(f_hz: np.ndarray, duration: float, m_cap: int) -> np.ndarray:
     m = np.round(f_hz * duration)
     m = np.clip(np.abs(m), 1, m_cap) * np.where(m < 0, -1.0, 1.0)
     return m / duration
 
 
-def generate_multisine(cfg: SignalConfig) -> MultisineSignal:
-    """Random multisine with frequencies snapped to the record's DFT grid.
+def _normalize(samples: np.ndarray, peak: float) -> np.ndarray:
+    """Rescale so the largest absolute sample over all channels is ``peak``."""
+    top = np.abs(samples).max()
+    if top == 0.0:
+        raise DegenerateSignalError("cannot normalize an all-zero signal")
+    return (peak / top) * samples
 
-    Real mode: per channel, ``N_c`` components with frequency ``U[0, omega_max]``
-    (snapped), amplitude ``U[0.5, 1]`` and phase ``U[0, 2 pi)``. Complex-pair
-    mode: one set of components with frequency ``U[-omega_max, omega_max]``.
+
+def make_test_signal(cfg: SignalConfig, lam: float):
+    """Random multisine sampled at ``cfg.fs`` from t = 0, peak ``dr_factor*lam``.
+
+    Real mode: per channel, ``N_c`` components with frequency
+    ``U[0, omega_max]`` (snapped), amplitude ``U[0.5, 1]`` and phase
+    ``U[0, 2 pi)``, summed as ``amp * cos(2 pi f t + phase)``. Complex-pair
+    mode: one set of components with frequency ``U[-omega_max, omega_max]``;
+    channel 0 is the real part of the complex sum and channel 1 its
+    imaginary part.
+
+    Returns ``(samples, band_hz)``: the ``(ceil(duration*fs), n_channels)``
+    samples and the largest component frequency magnitude.
     """
     rng = np.random.default_rng(cfg.seed)
     m_cap = int(np.floor(cfg.omega_max * cfg.duration))
     if cfg.complex_pair:
-        f = rng.uniform(-cfg.omega_max, cfg.omega_max, cfg.n_components)
-        freqs = _snap(f, cfg.duration, m_cap)
-        amps = rng.uniform(0.5, 1.0, cfg.n_components)
-        phases = rng.uniform(0.0, 2.0 * np.pi, cfg.n_components)
+        shape, f_lo = cfg.n_components, -cfg.omega_max
     else:
-        shape = (cfg.n_channels, cfg.n_components)
-        f = rng.uniform(0.0, cfg.omega_max, shape)
-        freqs = _snap(f, cfg.duration, m_cap)
-        amps = rng.uniform(0.5, 1.0, shape)
-        phases = rng.uniform(0.0, 2.0 * np.pi, shape)
-    return MultisineSignal(freqs_hz=freqs, amps=amps, phases=phases,
-                           duration=cfg.duration, complex_pair=cfg.complex_pair)
-
-
-def sample_signal(signal: MultisineSignal, cfg: SignalConfig) -> SampledSignal:
-    """Uniform samples at ``fs = of * 2 * omega_max`` starting at t = 0."""
-    fs = cfg.fs
-    K = int(np.ceil(cfg.duration * fs))
-    t = np.arange(K) / fs
-    return SampledSignal(samples=signal(t), fs=fs, t0=0.0)
-
-
-def normalize_dr(sampled: SampledSignal, lam: float, gamma: float):
-    """Rescale so the peak absolute sample over all channels equals gamma*lam.
-
-    Returns ``(normalized SampledSignal, scale factor applied)``.
-    """
-    peak = np.abs(sampled.samples).max()
-    if peak == 0.0:
-        raise DegenerateSignalError("cannot normalize an all-zero signal")
-    c = gamma * lam / peak
-    return SampledSignal(samples=c * sampled.samples, fs=sampled.fs,
-                         t0=sampled.t0), c
-
-
-def make_test_signal(cfg: SignalConfig, lam: float):
-    """Generate, sample and normalize in one step.
-
-    Returns ``(handle, SampledSignal)`` with the handle rescaled to match the
-    normalized samples.
-    """
-    sig = generate_multisine(cfg)
-    sampled = sample_signal(sig, cfg)
-    normalized, c = normalize_dr(sampled, lam, cfg.dr_factor)
-    return sig.scaled(c), normalized
+        shape, f_lo = (cfg.n_channels, cfg.n_components), 0.0
+    freqs = _snap(rng.uniform(f_lo, cfg.omega_max, shape), cfg.duration, m_cap)
+    amps = rng.uniform(0.5, 1.0, shape)
+    phases = rng.uniform(0.0, 2.0 * np.pi, shape)
+    t = np.arange(int(np.ceil(cfg.duration * cfg.fs))) / cfg.fs
+    if cfg.complex_pair:
+        c = amps * np.exp(1j * phases)
+        z = (c[None, :] * np.exp(2j * np.pi * freqs[None, :] * t[:, None])).sum(axis=1)
+        samples = np.stack([z.real, z.imag], axis=1)
+    else:
+        arg = 2.0 * np.pi * freqs[None, :, :] * t[:, None, None] + phases[None, :, :]
+        samples = (amps[None, :, :] * np.cos(arg)).sum(axis=-1)
+    return _normalize(samples, cfg.dr_factor * lam), float(np.abs(freqs).max())

@@ -14,8 +14,8 @@ from latfold import (A2, DN, E8, ZN, ExperimentConfig, SignalConfig,
                      check_recovery, estimate_second_moment, fold,
                      fold_iterative, fold_signal, hod_recover,
                      lattice_quantize, make_lattice, make_test_signal,
-                     mse_ratio, nearest_point, nearest_point_e8,
-                     relevant_vectors, sample_uniform_cell, scalar_quantize)
+                     mse_ratio, nearest_point, relevant_vectors,
+                     sample_uniform_cell, scalar_quantize)
 from latfold.channels import FoldedRecord
 from latfold.experiments import (ARCHITECTURES, draw_folded,
                                  emit_trajectory_demo, fold_lattice, run_trial)
@@ -33,16 +33,16 @@ def _report(num, ok, detail):
 
 def test_criterion_1_example_exactness():
     x = np.array([2.3, -3.1, 5.6, 1.2, -4.4, 3.1, 6.7, -2.2])
-    nearest_point_e8(x, 1.0)                       # warm caches
+    lat = make_lattice(E8, 8, 1.0 / np.sqrt(2.0))     # unit-scale E8
+    nearest_point(x, lat)                             # warm caches
     t0 = time.perf_counter()
-    q = nearest_point_e8(x, 1.0)
+    q = nearest_point(x, lat)
     r = x - q
     dt = time.perf_counter() - t0
     ok = (np.abs(q - np.array([2, -3, 6, 1, -4, 3, 7, -2])).max() < 1e-12
           and np.abs(r - np.array([0.3, -0.1, -0.4, 0.2, -0.4, 0.1, -0.3, -0.2])).max() < 1e-12
           and dt < 1e-3)
-    # fold through the unit-scale lattice gives the same pair
-    lat = make_lattice(E8, 8, 1.0 / np.sqrt(2.0))
+    # fold gives the same pair
     r2, q2 = fold(x, lat)
     ok = ok and np.abs(q2 - q).max() < 1e-12 and np.abs(r2 - r).max() < 1e-12
     _report(1, ok, f"reference decode and fold reproduced exactly ({dt*1e3:.2f} ms)")
@@ -178,8 +178,8 @@ def test_criterion_5_noiseless_recovery():
                 for _ in range(400):
                     cfg = SignalConfig(n_channels=n_ch, of=8.0, dr_factor=3.0,
                                        seed=seed, complex_pair=cplx)
-                    _, sampled = make_test_signal(cfg, 1.0)
-                    rec, p_true = fold_signal(sampled.samples, lat)
+                    f, _ = make_test_signal(cfg, 1.0)
+                    rec, p_true = fold_signal(f, lat)
                     if np.all(p_true[:2] == 0):
                         break
                     seed += 7919

@@ -9,8 +9,8 @@ from latfold import (E8, ZN, ConfigurationError, ExperimentConfig,
                      emit_tables, run_sweep, table3_config, table4_config)
 from latfold.cli import main
 from latfold.experiments import (DemoRecoveryError, _shared_draws,
-                                 demo_power_ratio, emit_trajectory_demo,
-                                 quantize_bench, trial_seed)
+                                 concentration_modes, demo_power_ratio,
+                                 emit_trajectory_demo, quantize_bench, trial_seed)
 
 
 def _tiny_config(**kw):
@@ -111,6 +111,42 @@ def test_cli_sweep_reports_bad_config(tmp_path, capsys):
             main(["sweep", "--config", str(path)])
         assert exc.value.code == 2
         assert named in capsys.readouterr().err
+
+
+def test_cli_out_writes_what_stdout_shows(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    _tiny_config(n_trials=2).save(cfg_path)
+    for argv in (["sweep", "--config", str(cfg_path), "--format", "csv"],
+                 ["table1", "--samples", "10000", "--format", "json"],
+                 ["quantize-bench", "--samples", "2000"]):
+        assert main(argv) == 0
+        shown = capsys.readouterr().out
+        assert shown
+        out = tmp_path / "out.txt"
+        assert main(argv + ["--out", str(out)]) == 0
+        assert capsys.readouterr().out == ""
+        assert out.read_text() == shown
+
+
+def test_noise_seed_built_only_for_snr_cells(monkeypatch):
+    import latfold.experiments as experiments
+    calls = []
+    original = experiments.noise_seed
+    monkeypatch.setattr(experiments, "noise_seed",
+                        lambda *a: calls.append(a) or original(*a))
+    run_sweep(_tiny_config(snr_db_list=(), bits_list=(6, None), n_trials=2))
+    assert calls == []
+    run_sweep(_tiny_config(snr_db_list=(25, None), n_trials=2))
+    assert sorted({a[2] for a in calls}) == ["snr"]
+    assert len(calls) == 2 * 2                # architectures x trials
+
+
+def test_concentration_modes_memoized_read_only():
+    modes = concentration_modes(120, 19, 60)
+    assert concentration_modes(120, 19, 60) is modes
+    assert modes.shape == (120, 38)
+    assert not modes.flags.writeable
+    assert np.allclose(np.abs(modes).max(axis=0), 1.0)
 
 
 def test_sweep_csv_pinned():
@@ -224,6 +260,30 @@ def test_demo2d_outputs(tmp_path):
                          skiprows=1)
     assert hexpoly.shape == (7, 2)
     assert (tmp_path / "demo2d_summary.json").exists()
+
+
+def test_demo2d_outputs_pinned(tmp_path):
+    # digests of every demo output file at seeds 0 and 7: any change to the
+    # test signal, the fold or the LASSO that moves a single written digit
+    # shows here (the cell outlines do not depend on the seed)
+    cells = {
+        "cell_hexagon.csv": "cd2ec4680bd054fa27ad1f92ddd1b44b11a31b4345a76efc8b6d515cb37bd8ed",
+        "cell_square.csv": "86c87ce48aff026e4a3b8e1c55ac4f68b2105b555fd81d75755032a147bcbec9",
+    }
+    pinned = {
+        0: {"demo2d_hexagon.csv": "6e7be587e7a6c3c48fce85dc0def76990fb487bc27e3ec3abacc65cc0090b218",
+            "demo2d_square.csv": "ba97fc32f983291846e4ebb615ad5371cbe63f46c1ba384ba00d90f357e70ebc",
+            "demo2d_summary.json": "f9a374f04fc07b2326168780b6eaeccd34df6ef730fb8649c6988b17a721dc86"},
+        7: {"demo2d_hexagon.csv": "bfa19b84e86eac4eebc9a3bad2cf016f3288d7c3d67b2a79f65fe5da900332ed",
+            "demo2d_square.csv": "0379a82c42204dcde78f011fca4342a075fe6ed95b9b8aee30bc1a8ff97c54e5",
+            "demo2d_summary.json": "f45f59b2697850affb0cbe98e2752c8c4277104163d552f7f51663028227d483"},
+    }
+    for seed, digests in pinned.items():
+        out = tmp_path / str(seed)
+        emit_trajectory_demo(out, seed=seed, lam=1.0, power_trials=20)
+        got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+               for p in out.iterdir()}
+        assert got == {**cells, **digests}
 
 
 @pytest.mark.xfail(strict=True, raises=DemoRecoveryError,

@@ -4,11 +4,17 @@ import pytest
 from latfold import (A2, DN, E8, ZN, ConfigurationError, NonFiniteInputError,
                      fold, fold_iterative, folds_to_zero, in_voronoi_cell,
                      is_lattice_point, make_lattice, nearest_point,
-                     nearest_point_dn, nearest_point_e8, nearest_point_zn,
                      relevant_vectors, voronoi_cell_polygon)
 from oracles import closest_point
 
 UNIT_E8 = 1.0 / np.sqrt(2.0)   # inradius that puts dn/e8 at unit-lattice scale
+
+
+def unit(family, n):
+    """The family at unit-lattice scale: Z^n, D_n and E8 in integer coordinates."""
+    lat = make_lattice(family, n, 0.5 if family == ZN else UNIT_E8)
+    assert lat.scale == 1.0
+    return lat
 
 
 # ---------------------------------------------------------------- construction
@@ -56,42 +62,42 @@ def test_basis_generates_volume():
 # ----------------------------------------------------------- rounding/tie rules
 
 def test_zn_plain_rounding():
-    assert np.allclose(nearest_point_zn(np.array([0.4, -0.6]), 1.0), [0, -1])
+    assert np.allclose(nearest_point(np.array([0.4, -0.6]), unit(ZN, 2)), [0, -1])
 
 
 def test_zn_half_tie_toward_zero():
-    assert nearest_point_zn(np.array([0.5]), 1.0)[0] == 0.0
-    assert nearest_point_zn(np.array([-1.5]), 1.0)[0] == -1.0
-    assert nearest_point_zn(np.array([1.5]), 1.0)[0] == 1.0
+    assert nearest_point(np.array([0.5]), unit(ZN, 1))[0] == 0.0
+    assert nearest_point(np.array([-1.5]), unit(ZN, 1))[0] == -1.0
+    assert nearest_point(np.array([1.5]), unit(ZN, 1))[0] == 1.0
 
 
 def test_dn_worked_reference_vector():
     x = np.array([1.8, -3.6, 5.1, 0.7, -4.9, 2.6, 6.2, -2.7])
-    got = nearest_point_dn(x, 1.0)
+    got = nearest_point(x, unit(DN, 8))
     assert np.array_equal(got, [2, -3, 5, 1, -5, 3, 6, -3])
     assert got.sum() == 6
 
 
 def test_dn_fixed_point_and_brute():
-    assert np.array_equal(nearest_point_dn(np.array([0.0, 0.0]), 1.0), [0, 0])
+    assert np.array_equal(nearest_point(np.array([0.0, 0.0]), unit(DN, 2)), [0, 0])
     x = np.array([0.6, 0.6])
     best = closest_point(x, [[1.0, 1.0], [1.0, -1.0]])    # D2: even-sum Z^2
-    assert np.array_equal(nearest_point_dn(x, 1.0), best)
+    assert np.array_equal(nearest_point(x, unit(DN, 2)), best)
     assert np.array_equal(best, [1, 1])
 
 
 def test_e8_worked_reference_vector():
     x = np.array([2.3, -3.1, 5.6, 1.2, -4.4, 3.1, 6.7, -2.2])
-    q = nearest_point_e8(x, 1.0)
+    q = nearest_point(x, unit(E8, 8))
     assert np.array_equal(q, [2, -3, 6, 1, -4, 3, 7, -2])
     assert np.allclose(x - q, [0.3, -0.1, -0.4, 0.2, -0.4, 0.1, -0.3, -0.2])
 
 
 def test_e8_lattice_point_fixed():
     p = np.array([1.0, 1.0, 0, 0, 0, 0, 0, 0])
-    assert np.array_equal(nearest_point_e8(p, 1.0), p)
+    assert np.array_equal(nearest_point(p, unit(E8, 8)), p)
     h = np.full(8, 0.5)
-    assert np.array_equal(nearest_point_e8(h, 1.0), h)
+    assert np.array_equal(nearest_point(h, unit(E8, 8)), h)
 
 
 def test_e8_deep_hole_tie_keeps_integer_coset():
@@ -100,7 +106,7 @@ def test_e8_deep_hole_tie_keeps_integer_coset():
     d0 = (x**2).sum()
     dh = ((x - 0.5) ** 2).sum()
     assert d0 == pytest.approx(dh)
-    assert np.array_equal(nearest_point_e8(x, 1.0), np.zeros(8))
+    assert np.array_equal(nearest_point(x, unit(E8, 8)), np.zeros(8))
 
 
 def test_e8_tie_keeps_integer_coset_over_smaller_norm():
@@ -109,7 +115,9 @@ def test_e8_tie_keeps_integer_coset_over_smaller_norm():
     x = np.full(8, 0.75)
     assert ((x - 1.0) ** 2).sum() == ((x - 0.5) ** 2).sum()
     for s in (1.0, 0.5, 2.0):
-        assert np.array_equal(nearest_point_e8(s * x, s), np.full(8, s))
+        lat = make_lattice(E8, 8, s / np.sqrt(2.0))
+        assert lat.scale == s
+        assert np.array_equal(nearest_point(s * x, lat), np.full(8, s))
 
 
 def test_a2_trivial_points():

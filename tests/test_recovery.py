@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -15,11 +17,10 @@ from latfold.recovery import OobOperator, _b2r2_lstsq, _window_factor
 def _start_in_cell(cfg, lattice, max_tries=400):
     seed = cfg.seed
     for _ in range(max_tries):
-        c = SignalConfig(**{**cfg.__dict__, "seed": seed})
-        handle, sampled = make_test_signal(c, lattice.lam)
-        rec, p = fold_signal(sampled.samples[:3], lattice)
+        f, _ = make_test_signal(replace(cfg, seed=seed), lattice.lam)
+        rec, p = fold_signal(f[:3], lattice)
         if np.all(p == 0):
-            return handle, sampled
+            return f
         seed += 7919
     raise RuntimeError("no start-in-cell draw")
 
@@ -47,12 +48,10 @@ def test_oob_operator_memoized():
 
 def test_oob_keeps_own_copy_of_bins():
     bins = np.arange(30, 90)
-    oob = OobOperator(K=120, omega_max=10.0, fs=120.0, guard=0.1,
-                      selected_bins=bins)
+    oob = OobOperator(K=120, selected_bins=bins)
     bins[0] = 0                        # the caller's array stays writable
     assert oob.selected_bins[0] == 30
-    listed = OobOperator(K=120, omega_max=10.0, fs=120.0, guard=0.1,
-                         selected_bins=list(range(30, 90)))
+    listed = OobOperator(K=120, selected_bins=list(range(30, 90)))
     x = np.random.default_rng(0).standard_normal((120, 2))
     assert np.array_equal(listed.apply(x), oob.apply(x))
     assert np.array_equal(listed.rows_for(np.arange(5)), oob.rows_for(np.arange(5)))
@@ -65,9 +64,9 @@ def test_oob_empty_selection_raises():
 
 def test_oob_clean_signal_energy():
     cfg = SignalConfig(n_channels=2, omega_max=10.0, of=6.0, seed=0)
-    _, sampled = make_test_signal(cfg, lam=1.0)
+    f, _ = make_test_signal(cfg, lam=1.0)
     oob = build_oob_operator(120, 10.0, 120.0, guard=0.1)
-    assert oob.energy_fraction(sampled.samples) <= 1e-8
+    assert (np.abs(oob.apply(f)) ** 2).sum() <= 1e-8 * oob.K * (f ** 2).sum()
 
 
 def test_oob_adjoint_consistency():
@@ -86,13 +85,13 @@ def test_oob_adjoint_consistency():
 def test_hod_no_folds_identity():
     lat = make_lattice(ZN, 2, 10.0)        # huge cell: nothing folds
     cfg = SignalConfig(n_channels=2, dr_factor=0.5, of=8.0, seed=1)
-    _, sampled = make_test_signal(cfg, lat.lam)
-    rec, p_true = fold_signal(sampled.samples, lat)
+    f, _ = make_test_signal(cfg, lat.lam)
+    rec, p_true = fold_signal(f, lat)
     assert np.all(p_true == 0)
     for order in (1, 2, 3):
         out = hod_recover(rec, lat, order)
         assert np.allclose(out.p_hat, 0.0)
-        assert np.allclose(out.f_hat, sampled.samples)
+        assert np.allclose(out.f_hat, f)
 
 
 def test_hod_1d_sine_exact():
@@ -112,9 +111,8 @@ def test_hod_demo_1d_rate_one():
     cfg0 = SignalConfig(n_channels=1, n_components=14, omega_max=10.0, of=8.0,
                         dr_factor=3.0, seed=0)
     for seed in range(10):
-        cfg = SignalConfig(**{**cfg0.__dict__, "seed": seed})
-        _, sampled = _start_in_cell(cfg, lat)
-        rec, p_true = fold_signal(sampled.samples, lat)
+        f = _start_in_cell(replace(cfg0, seed=seed), lat)
+        rec, p_true = fold_signal(f, lat)
         out = hod_recover(rec, lat, 2)
         assert check_recovery(out.p_hat, p_true, lat).full_success
 
@@ -123,8 +121,7 @@ def test_hod_2d_hexagon():
     lat = make_lattice(A2, 2, 1.0)
     cfg = SignalConfig(n_channels=2, complex_pair=True, of=8.0, dr_factor=3.0,
                        seed=4)
-    _, sampled = _start_in_cell(cfg, lat)
-    rec, p_true = fold_signal(sampled.samples, lat)
+    rec, p_true = fold_signal(_start_in_cell(cfg, lat), lat)
     out = hod_recover(rec, lat, 2)
     assert check_recovery(out.p_hat, p_true, lat).full_success
 
@@ -134,8 +131,8 @@ def test_hod_fails_under_noise_in_8d_study():
     from latfold.channels import add_noise
     lat = make_lattice(E8, 8, 0.1)
     cfg = SignalConfig(n_channels=8, of=6.0, dr_factor=10.0, seed=5)
-    _, sampled = make_test_signal(cfg, lat.lam)
-    rec, p_true = fold_signal(sampled.samples, lat)
+    f, _ = make_test_signal(cfg, lat.lam)
+    rec, p_true = fold_signal(f, lat)
     noisy = add_noise(rec, 30.0, seed=6)
     out = hod_recover(noisy, lat, 2)
     assert not check_recovery(out.p_hat, p_true, lat).full_success
@@ -153,8 +150,8 @@ def test_hod_short_record_rejected():
 def test_b2r2_zero_folds_returns_zero():
     lat = make_lattice(ZN, 2, 10.0)
     cfg = SignalConfig(n_channels=2, dr_factor=0.5, of=6.0, seed=2)
-    _, sampled = make_test_signal(cfg, lat.lam)
-    rec, p_true = fold_signal(sampled.samples, lat)
+    f, _ = make_test_signal(cfg, lat.lam)
+    rec, p_true = fold_signal(f, lat)
     oob = build_oob_operator(120, 10.0, 120.0, guard=0.1)
     out = b2r2_recover(rec, lat, oob)
     assert np.allclose(out.p_hat, 0.0)
@@ -334,8 +331,7 @@ def test_b2r2_hand_built_bins_not_taken_from_cache():
     lam = 0.1
     lat = make_lattice(ZN, 8, lam)
     K, margin, leak, oob, solver_margin = _sweep_case(6)
-    sub = OobOperator(K=K, omega_max=oob.omega_max, fs=oob.fs, guard=oob.guard,
-                      selected_bins=oob.selected_bins[::2].copy())
+    sub = OobOperator(K=K, selected_bins=oob.selected_bins[::2].copy())
     f = draw_margin_trial(np.random.SeedSequence([6, 0]), lat, 8, K, 19,
                           margin, 10.0, leak)
     rec, _ = fold_signal(f, lat)
@@ -348,12 +344,11 @@ def test_b2r2_hand_built_bins_not_taken_from_cache():
 
 
 def test_b2r2_bins_independent_of_operator_scalars():
-    # the bins need not follow omega_max, fs and guard; here those scalars
-    # would leave build_oob_operator no out-of-band bins at all
+    # an operator holds only K and its bins; these 60 bins are set by hand
+    # rather than selected from a band by build_oob_operator
     lam = 0.1
     lat = make_lattice(ZN, 8, lam)
-    oob = OobOperator(K=120, omega_max=100.0, fs=120.0, guard=0.1,
-                      selected_bins=np.arange(30, 90))
+    oob = OobOperator(K=120, selected_bins=np.arange(30, 90))
     f = draw_margin_trial(np.random.SeedSequence([3]), lat, 8, 120, 19, 60,
                           10.0, 0.0)
     rec, p_true = fold_signal(f, lat)
