@@ -1,18 +1,18 @@
 """ADC distortion models applied to folded records.
 
-Three channels: additive noise at a prescribed SNR, a component-wise
-mid-tread scalar quantizer, and a matched lattice quantizer on the scaled
-lattice ``2^-B * Lambda``.
+Every stage takes and returns a ``(K, n)`` sample array. Three channels:
+additive noise at a prescribed SNR, a component-wise mid-tread scalar
+quantizer, and a matched lattice quantizer on the scaled lattice
+``2^-B * Lambda``. Each rejects NaN and infinite samples.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .lattices import ScaledLattice, fold, nearest_point
+from .lattices import NonFiniteInputError, ScaledLattice, fold, nearest_point
 
 
 def _check_bits(bits) -> None:
@@ -26,49 +26,44 @@ def _check_snr(snr_db) -> None:
         raise ValueError(f"snr_db must be positive (or inf), got {snr_db!r}")
 
 
-@dataclass(frozen=True)
-class FoldedRecord:
-    """Folded samples and the lattice they were folded with."""
-
-    samples: np.ndarray             # (K, n)
-    lattice: ScaledLattice
-
-    @property
-    def per_dim_power(self) -> float:
-        return float((self.samples**2).sum() / self.samples.size)
+def _check_finite(y: np.ndarray) -> None:
+    if not np.isfinite(y).all():
+        raise NonFiniteInputError("channel input holds NaN or infinite samples")
 
 
 def fold_signal(f: np.ndarray, lattice: ScaledLattice):
-    """Fold a (K, n) sample array; returns ``(FoldedRecord, offsets)``."""
+    """Fold a (K, n) sample array; returns read-only ``(residue, offsets)``."""
     residue, offsets = fold(np.asarray(f, dtype=float), lattice)
-    return FoldedRecord(samples=residue, lattice=lattice), offsets
+    residue.setflags(write=False)
+    offsets.setflags(write=False)
+    return residue, offsets
 
 
-def add_noise(rec: FoldedRecord, snr_db: float, seed, law: str = "gaussian") -> FoldedRecord:
+def add_noise(y: np.ndarray, snr_db: float, seed, law: str = "gaussian") -> np.ndarray:
     """Additive noise at the prescribed SNR relative to this record's power.
 
     Per-coordinate noise variance equals ``P_y * 10^(-snr/10)`` with ``P_y``
     the empirical mean of ``|y[k]|^2 / n`` over the record. ``snr_db=inf``
-    returns the record unchanged. The uniform law matches the Gaussian
-    variance.
+    returns ``y`` unchanged. The uniform law matches the Gaussian variance.
     """
     _check_snr(snr_db)
+    _check_finite(y)
     if math.isinf(snr_db):
-        return rec
+        return y
     rng = np.random.default_rng(seed)
-    var = rec.per_dim_power * 10.0 ** (-snr_db / 10.0)
+    var = float((y**2).sum() / y.size) * 10.0 ** (-snr_db / 10.0)
     sigma = math.sqrt(var)
     if law == "gaussian":
-        noise = sigma * rng.standard_normal(rec.samples.shape)
+        noise = sigma * rng.standard_normal(y.shape)
     elif law == "uniform":
         a = sigma * math.sqrt(3.0)
-        noise = rng.uniform(-a, a, rec.samples.shape)
+        noise = rng.uniform(-a, a, y.shape)
     else:
         raise ValueError(f"unknown noise law {law!r}")
-    return FoldedRecord(samples=rec.samples + noise, lattice=rec.lattice)
+    return y + noise
 
 
-def scalar_quantize(rec: FoldedRecord, bits: float, lam: float) -> FoldedRecord:
+def scalar_quantize(y: np.ndarray, bits: float, lam: float) -> np.ndarray:
     """Uniform mid-tread scalar quantizer with step ``2*lam / 2^bits``.
 
     The grid is the same for every folding lattice, which is the point of
@@ -78,19 +73,18 @@ def scalar_quantize(rec: FoldedRecord, bits: float, lam: float) -> FoldedRecord:
     ``lam`` per coordinate, and clipping there would distort the error law.
     """
     _check_bits(bits)
+    _check_finite(y)
     if math.isinf(bits):
-        return rec
+        return y
     step = 2.0 * lam / 2.0 ** int(bits)
-    q = step * np.round(rec.samples / step)
-    return FoldedRecord(samples=q, lattice=rec.lattice)
+    return step * np.round(y / step)
 
 
-def lattice_quantize(rec: FoldedRecord, lattice: ScaledLattice, bits: float) -> FoldedRecord:
+def lattice_quantize(y: np.ndarray, lattice: ScaledLattice, bits: float) -> np.ndarray:
     """Matched quantizer: nearest point of the scaled lattice ``2^-B Lambda``."""
     _check_bits(bits)
+    _check_finite(y)
     if math.isinf(bits):
-        return rec
+        return y
     s = 2.0 ** (-int(bits))
-    q = s * nearest_point(rec.samples / s, lattice)
-    return FoldedRecord(samples=q, lattice=rec.lattice)
-
+    return s * nearest_point(y / s, lattice)

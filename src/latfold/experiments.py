@@ -24,14 +24,13 @@ from typing import Mapping, Optional
 import numpy as np
 from scipy.linalg import eigh
 
-from .channels import (FoldedRecord, _check_bits, _check_snr, add_noise, fold_signal,
+from .channels import (_check_bits, _check_snr, add_noise, fold_signal,
                        lattice_quantize, scalar_quantize)
 from .lattices import (A2, DN, E8, ZN, ConfigurationError, ScaledLattice, fold,
                        folds_to_zero, in_voronoi_cell, make_lattice,
                        voronoi_cell_polygon)
-from .recovery import (B2R2Options, LassoOptions, b2r2_recover,
-                       build_oob_operator, check_recovery, hod_recover,
-                       lasso_b2r2_recover)
+from .recovery import (b2r2_recover, build_oob_operator, check_recovery,
+                       hod_recover, lasso_b2r2_recover)
 from .signals import SignalConfig, make_test_signal
 
 SCHEMA_VERSION = 2
@@ -255,67 +254,61 @@ def fold_lattice(cfg: ExperimentConfig, family: str) -> ScaledLattice:
 
 
 def draw_folded(cfg: ExperimentConfig, of, lattice: ScaledLattice, sig_seed):
-    """One trial's signal folded with ``lattice``: read-only (record, offsets)."""
+    """One trial's signal folded with ``lattice``: read-only (samples, offsets)."""
     _, K, m_max = _geometry(cfg, of)
     sig_act, _, leak_amp = ACTIVE_SCHEDULE[int(of)]
     f = draw_margin_trial(sig_seed, lattice, cfg.n_channels, K, m_max, K - sig_act,
                           cfg.dr_factor, leak_amp)
-    rec, p_true = fold_signal(f, lattice)
-    rec.samples.setflags(write=False)
-    p_true.setflags(write=False)
-    return rec, p_true
+    return fold_signal(f, lattice)
 
 
-def run_trial(cfg: ExperimentConfig, of, kind: str, level, arch: str, drawn,
-              noise_seed):
-    """One trial of a ``draw_folded`` draw ``(record, offsets)``.
+def run_trial(cfg: ExperimentConfig, of, kind: str, level, arch: str,
+              lattice: ScaledLattice, drawn, noise_seed):
+    """One trial of a ``draw_folded(cfg, of, lattice, ...)`` draw.
 
     Returns (all offsets recovered, channel MSE per coordinate).
     """
     layout = ARCHITECTURES[arch]
-    rec, p_true = drawn
-    lattice = rec.lattice
-    clean = rec.samples
+    clean, p_true = drawn
+    y = clean
     fs, K, m_max = _geometry(cfg, of)
     band = m_max / cfg.duration
     _, solver_act, _ = ACTIVE_SCHEDULE[int(of)]
 
     if kind == "snr" and level is not None:
-        rec = add_noise(rec, float(level), noise_seed, law=cfg.noise_law)
+        y = add_noise(clean, float(level), noise_seed, law=cfg.noise_law)
     elif kind == "bits" and level is not None:
         if layout["quantizer"] == "scalar":
-            rec = scalar_quantize(rec, float(level), cfg.lam)
+            y = scalar_quantize(clean, float(level), cfg.lam)
         elif layout["quantizer"] == "lattice":
-            rec = lattice_quantize(rec, lattice, float(level))
+            y = lattice_quantize(clean, lattice, float(level))
         else:
             raise ConfigurationError(f"architecture {arch} has no quantizer")
 
     oob = build_oob_operator(K, band, fs, cfg.guard)
     if cfg.algorithm == "b2r2":
-        opts = B2R2Options(support_margin=K - solver_act,
-                           bound=cfg.dr_factor * cfg.lam + lattice.d_min)
-        result = b2r2_recover(rec, lattice, oob, opts)
+        result = b2r2_recover(y, lattice, oob, K - solver_act,
+                              cfg.dr_factor * cfg.lam + lattice.d_min)
     elif cfg.algorithm == "lasso":
-        result = lasso_b2r2_recover(rec, lattice, oob, mu=cfg.lasso_mu,
-                                    opts=LassoOptions(max_iters=cfg.max_iters))
+        result = lasso_b2r2_recover(y, lattice, oob, cfg.lasso_mu, cfg.max_iters)
     elif cfg.algorithm == "hod":
-        result = hod_recover(rec, lattice, cfg.hod_order)
+        result = hod_recover(y, lattice, cfg.hod_order)
     else:
         raise ConfigurationError(f"unknown algorithm {cfg.algorithm!r}")
 
-    chk = check_recovery(result.p_hat, p_true, lattice)
-    mse = float(((rec.samples - clean) ** 2).sum() / clean.size)
-    return chk.full_success, mse
+    mse = float(((y - clean) ** 2).sum() / clean.size)
+    return check_recovery(result.p_hat, p_true, lattice) == 0, mse
 
 
 def _shared_draws(cfg: ExperimentConfig, of, kind: str, level) -> Mapping:
-    """Every trial's ``draw_folded`` per fold family of one (OF, level) group.
+    """Every trial's ``(lattice, draw_folded(...))`` per fold family.
 
-    Keyed ``(family, trial)``. The signal seed does not depend on the
-    architecture, so every architecture that folds with the same lattice
-    reads the same entry. A family stops at its first draw that raises and
-    stores the exception as that trial's entry; each cell of the family
-    raises it there as its cell error.
+    Covers one (OF, level) group, keyed ``(family, trial)``; each family's
+    lattice is built once. The signal seed does not depend on the architecture, so every architecture
+    that folds with the same lattice reads the same entry. A family stops
+    at its first lattice or draw that raises and stores the exception as
+    that trial's entry; each cell of the family raises it there as its
+    cell error.
     """
     draws = {}
     for family in dict.fromkeys(ARCHITECTURES[a]["fold"] for a in cfg.architectures):
@@ -323,7 +316,7 @@ def _shared_draws(cfg: ExperimentConfig, of, kind: str, level) -> Mapping:
         try:
             lattice = fold_lattice(cfg, family)
             for t in range(cfg.n_trials):
-                draws[family, t] = draw_folded(
+                draws[family, t] = lattice, draw_folded(
                     cfg, of, lattice, trial_seed(cfg.master_seed, of, kind, level, t))
         except Exception as exc:          # reported by the cells, as above
             draws[family, t] = exc
@@ -337,12 +330,12 @@ def _run_cell_trials(cfg: ExperimentConfig, of, kind: str, level, arch: str,
     succ, error = [], None
     try:
         for t in range(cfg.n_trials):
-            drawn = draws[family, t]
-            if isinstance(drawn, Exception):
-                raise drawn
+            entry = draws[family, t]
+            if isinstance(entry, Exception):
+                raise entry
             nseed = (noise_seed(cfg.master_seed, of, kind, level, t)
                      if kind == "snr" else None)    # only the noise draws from it
-            ok, mse = run_trial(cfg, of, kind, level, arch, drawn, nseed)
+            ok, mse = run_trial(cfg, of, kind, level, arch, *entry, nseed)
             if ok:
                 succ.append(mse)
     except Exception as exc:               # per-cell failure, sweep continues
@@ -480,11 +473,11 @@ def emit_trajectory_demo(outdir, seed: int = 0, lam: float = 1.0,
     for name, family in (("square", ZN), ("hexagon", A2)):
         lattice = make_lattice(family, 2, lam)
         f, band = _start_in_cell_signal(cfg, lattice)
-        rec, p_true = fold_signal(f, lattice)
-        if not in_voronoi_cell(lattice, rec.samples):
+        y, _ = fold_signal(f, lattice)
+        if not in_voronoi_cell(lattice, y):
             raise DemoRecoveryError(f"{name}: folded samples left the cell")
         oob = build_oob_operator(len(f), band, cfg.fs, 0.05)
-        result = lasso_b2r2_recover(rec, lattice, oob)
+        result = lasso_b2r2_recover(y, lattice, oob)
         err = float(np.abs(result.f_hat - f).max())
         peak = float(np.abs(f).max())
         if err > 1e-8 * peak:
@@ -492,7 +485,7 @@ def emit_trajectory_demo(outdir, seed: int = 0, lam: float = 1.0,
                 f"{name}: reconstruction error {err:.3e} exceeds 1e-8 * peak "
                 f"(peak {peak:.3f}, iterations {result.iterations})")
         t = np.arange(len(f)) / cfg.fs
-        data = np.column_stack([t, f, rec.samples, result.f_hat])
+        data = np.column_stack([t, f, y, result.f_hat])
         header = "t,orig0,orig1,folded0,folded1,rec0,rec1"
         np.savetxt(outdir / f"demo2d_{name}.csv", data, delimiter=",",
                    header=header, comments="", fmt="%.12g")
@@ -517,10 +510,10 @@ def demo_power_ratio(lam: float = 1.0, n_trials: int = 200, seed: int = 0) -> fl
     for i in range(n_trials):
         cfg = demo2d_config(seed + i)
         f, _ = make_test_signal(cfg, lam)
-        rh, _ = fold_signal(f, hexl)
-        rs, _ = fold_signal(f, sq)
-        p_hex += (rh.samples**2).sum()
-        p_sq += (rs.samples**2).sum()
+        y_hex, _ = fold_signal(f, hexl)
+        y_sq, _ = fold_signal(f, sq)
+        p_hex += (y_hex**2).sum()
+        p_sq += (y_sq**2).sum()
     return float(p_hex / p_sq)
 
 
@@ -547,9 +540,7 @@ def quantize_bench(n_samples: int = 200000, seed: int = 0,
         base = float((r**2).sum(axis=1).mean())
         rows = {}
         for b in bits:
-            rec = FoldedRecord(samples=r, lattice=lat)
-            q = lattice_quantize(rec, lat, b)
-            mse = float(((r - q.samples) ** 2).sum(axis=1).mean())
+            mse = float(((r - lattice_quantize(r, lat, b)) ** 2).sum(axis=1).mean())
             rows[int(b)] = {"mse": mse, "predicted": base * 4.0 ** (-b),
                             "ratio": mse / (base * 4.0 ** (-b))}
         report["matched"][name] = rows
@@ -558,10 +549,8 @@ def quantize_bench(n_samples: int = 200000, seed: int = 0,
     r_sq = sample_uniform_cell(cube, rng, n_samples)
     r_e8 = sample_uniform_cell(e8, rng, n_samples)
     for b in (6, 8):
-        m_sq = scalar_quantize(FoldedRecord(r_sq, cube), b, 1.0).samples
-        m_e8 = scalar_quantize(FoldedRecord(r_e8, e8), b, 1.0).samples
-        mse_sq = float(((r_sq - m_sq) ** 2).sum(axis=1).mean())
-        mse_e8 = float(((r_e8 - m_e8) ** 2).sum(axis=1).mean())
+        mse_sq = float(((r_sq - scalar_quantize(r_sq, b, 1.0)) ** 2).sum(axis=1).mean())
+        mse_e8 = float(((r_e8 - scalar_quantize(r_e8, b, 1.0)) ** 2).sum(axis=1).mean())
         report["mismatched"][int(b)] = {"cube_folded": mse_sq,
                                         "e8_folded": mse_e8,
                                         "ratio": mse_e8 / mse_sq}

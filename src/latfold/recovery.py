@@ -16,7 +16,6 @@ from typing import Optional
 
 import numpy as np
 
-from .channels import FoldedRecord
 from .lattices import (ConfigurationError, ScaledLattice, nearest_point,
                        snap_to_lattice)
 
@@ -91,13 +90,7 @@ class RecoveryResult:
     objective: float = math.nan
 
 
-@dataclass(frozen=True)
-class RecoveryCheck:
-    full_success: bool
-    sample_error_count: int
-
-
-def hod_recover(rec: FoldedRecord, lattice: ScaledLattice, order: int) -> RecoveryResult:
+def hod_recover(y: np.ndarray, lattice: ScaledLattice, order: int) -> RecoveryResult:
     """Unfold via N-th order differences.
 
     Folds the N-th difference of the received samples (valid whenever the
@@ -106,7 +99,6 @@ def hod_recover(rec: FoldedRecord, lattice: ScaledLattice, order: int) -> Recove
     """
     if order < 1:
         raise ConfigurationError("difference order must be >= 1")
-    y = rec.samples
     if y.shape[0] <= order:
         raise ConfigurationError("record shorter than the difference order")
     d = y
@@ -121,20 +113,14 @@ def hod_recover(rec: FoldedRecord, lattice: ScaledLattice, order: int) -> Recove
                           converged=True)
 
 
-@dataclass(frozen=True)
-class B2R2Options:
-    """Controls for the out-of-band least-squares solver.
-
-    ``support_margin`` is the number of leading samples assumed fold-free
-    (the time-domain search-space restriction). ``bound`` is the known
-    dynamic range: a row whose solution exceeds it is not committed.
-    """
-
-    support_margin: int = 0
-    bound: Optional[float] = None
-    confidence: float = 0.3
-    max_rounds: int = 12
-    rcond: float = 1e-11
+# B2R2 commits a row whose solution lies within CONFIDENCE * lam of a
+# lattice point, runs at most MAX_ROUNDS decision-feedback rounds, and
+# truncates singular values below RCOND times the largest in each solve.
+CONFIDENCE = 0.3
+MAX_ROUNDS = 12
+RCOND = 1e-11
+# LASSO-B2R2 stops when the objective changes by at most LASSO_TOL relative.
+LASSO_TOL = 1e-13
 
 
 @functools.lru_cache(maxsize=32)
@@ -153,7 +139,7 @@ def _window_factor(K: int, bins: bytes, margin: int):
     return Q, R
 
 
-def _b2r2_lstsq(y, lattice, oob, opts: B2R2Options):
+def _b2r2_lstsq(y, lattice, oob, support_margin, bound):
     """Least squares on the unknown support, then decision feedback.
 
     Rows whose solution sits close to a lattice point are committed and
@@ -172,7 +158,7 @@ def _b2r2_lstsq(y, lattice, oob, opts: B2R2Options):
     cond(A), which reaches about 8.6e6 at oversampling 2.
     """
     K = oob.K
-    margin = max(0, min(opts.support_margin, K - 1))
+    margin = max(0, min(support_margin, K - 1))
     Q, R = _window_factor(K, oob.selected_bins.tobytes(), margin)
     Fy = oob.apply(y)
     c0 = -Q.T @ np.vstack([Fy.real, Fy.imag])
@@ -181,21 +167,21 @@ def _b2r2_lstsq(y, lattice, oob, opts: B2R2Options):
     p_win = p_fix[margin:]                       # view: commits land in p_fix
 
     def solve(idx):
-        sol, *_ = np.linalg.lstsq(R[:, idx], c0 - R @ p_win, rcond=opts.rcond)
+        sol, *_ = np.linalg.lstsq(R[:, idx], c0 - R @ p_win, rcond=RCOND)
         return sol
 
     rounds = 0
-    for rounds in range(1, opts.max_rounds + 1):
+    for rounds in range(1, MAX_ROUNDS + 1):
         idx = np.flatnonzero(unknown)       # never empty: a full commit breaks
         sol = solve(idx)
         if not np.all(np.isfinite(sol)):
             raise RecoveryNumericalError(rounds)
         q = nearest_point(sol, lattice)
         dist = np.linalg.norm(sol - q, axis=1)
-        confident = dist < opts.confidence * lattice.lam
-        if opts.bound is not None:
+        confident = dist < CONFIDENCE * lattice.lam
+        if bound is not None:
             # rows outside the known dynamic range cannot be trusted yet
-            confident &= np.abs(sol).max(axis=1) <= opts.bound
+            confident &= np.abs(sol).max(axis=1) <= bound
         if not confident.any() or confident.all():
             p_win[idx] = q
             unknown[idx] = False
@@ -209,37 +195,33 @@ def _b2r2_lstsq(y, lattice, oob, opts: B2R2Options):
     return p_fix, rounds, obj
 
 
-def b2r2_recover(rec: FoldedRecord, lattice: ScaledLattice, oob: OobOperator,
-                 opts: Optional[B2R2Options] = None) -> RecoveryResult:
+def b2r2_recover(y: np.ndarray, lattice: ScaledLattice, oob: OobOperator,
+                 support_margin: int = 0,
+                 bound: Optional[float] = None) -> RecoveryResult:
     """Out-of-band least-squares unfolding with a restricted time support.
 
     Minimizes the out-of-band residual ``|F p + F y|^2`` over offset
     sequences supported outside the fold-free prefix, then rounds to the
     lattice row-wise. The solver commits confidently-rounded rows
     between least-squares passes, which is what makes low-oversampling
-    noiseless recovery exact.
+    noiseless recovery exact. ``support_margin`` is the number of leading
+    samples assumed fold-free (the time-domain search-space restriction).
+    ``bound`` is the known dynamic range: a row whose solution exceeds it
+    is not committed.
     """
-    opts = opts or B2R2Options()
-    y = rec.samples
-    p_fix, rounds, obj = _b2r2_lstsq(y, lattice, oob, opts)
+    p_fix, rounds, obj = _b2r2_lstsq(y, lattice, oob, support_margin, bound)
     p_hat = snap_to_lattice(lattice, p_fix)     # rows are decoder outputs or 0
     return RecoveryResult(f_hat=y + p_hat, p_hat=p_hat, iterations=rounds,
                           converged=True, objective=obj)
-
-
-@dataclass(frozen=True)
-class LassoOptions:
-    tol: float = 1e-13
-    max_iters: int = 6000
 
 
 def _cumsum_adjoint(g: np.ndarray) -> np.ndarray:
     return np.cumsum(g[::-1], axis=0)[::-1]
 
 
-def lasso_b2r2_recover(rec: FoldedRecord, lattice: ScaledLattice,
+def lasso_b2r2_recover(y: np.ndarray, lattice: ScaledLattice,
                        oob: OobOperator, mu: Optional[float] = None,
-                       opts: Optional[LassoOptions] = None) -> RecoveryResult:
+                       max_iters: int = 6000) -> RecoveryResult:
     """Sparsity-regularized unfolding on the fold-event differences.
 
     Writes ``p = C v`` with ``C`` the cumulative sum, penalizes ``|v|_1``
@@ -249,8 +231,6 @@ def lasso_b2r2_recover(rec: FoldedRecord, lattice: ScaledLattice,
     the shrinkage bias, then ``C v`` is rounded to the lattice. ``mu``
     weighs the l1 penalty; None means ``0.1 * max |F y|``.
     """
-    opts = opts or LassoOptions()
-    y = rec.samples
     K = oob.K
     Fy = oob.apply(y)
     if mu is None:
@@ -285,14 +265,14 @@ def lasso_b2r2_recover(rec: FoldedRecord, lattice: ScaledLattice,
     prev_obj = math.inf
     it = 0
     converged = False
-    for it in range(1, opts.max_iters + 1):
+    for it in range(1, max_iters + 1):
         w = v + ((t_mom - 1.0) / (t_mom + 2.0)) * (v - v_prev)
         g, quad = smooth_grad(w)
         if not math.isfinite(quad):
             raise RecoveryNumericalError(it)
         v_new = soft(w - g / L, mu / L)
         obj = quad + mu * float(np.abs(w).sum())
-        if abs(prev_obj - obj) <= opts.tol * max(obj, 1e-300):
+        if abs(prev_obj - obj) <= LASSO_TOL * max(obj, 1e-300):
             v_prev, v = v, v_new
             converged = True
             break
@@ -318,14 +298,12 @@ def lasso_b2r2_recover(rec: FoldedRecord, lattice: ScaledLattice,
 
 
 def check_recovery(p_hat: np.ndarray, p_true: np.ndarray,
-                   lattice: ScaledLattice) -> RecoveryCheck:
-    """Exact per-row comparison of fold offsets (after lattice snapping)."""
+                   lattice: ScaledLattice) -> int:
+    """Number of rows whose lattice offsets differ (0 means full recovery)."""
     p_hat = np.asarray(p_hat, dtype=float)
     p_true = np.asarray(p_true, dtype=float)
     if p_hat.shape != p_true.shape:
         raise ConfigurationError("offset arrays must have identical shape")
     k_hat = np.round(lattice.basis_inv @ p_hat.T)
     k_true = np.round(lattice.basis_inv @ p_true.T)
-    row_bad = np.any(k_hat != k_true, axis=0)
-    errors = int(row_bad.sum())
-    return RecoveryCheck(full_success=errors == 0, sample_error_count=errors)
+    return int(np.any(k_hat != k_true, axis=0).sum())

@@ -201,8 +201,8 @@ def test_shared_draws_are_read_only():
     cfg = _tiny_config(architectures=("e8+sqq", "sq+sqq", "e8+e8q"), n_trials=2)
     draws = _shared_draws(cfg, 6, "clean", None)
     assert sorted(draws) == [(E8, 0), (E8, 1), (ZN, 0), (ZN, 1)]
-    for rec, p_true in draws.values():
-        for a in (rec.samples, p_true):
+    for _, (y, p_true) in draws.values():
+        for a in (y, p_true):
             with pytest.raises(ValueError):
                 a[0, 0] = 1.0
     with pytest.raises(TypeError):
