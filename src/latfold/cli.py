@@ -37,7 +37,9 @@ def main(argv=None) -> int:
     p1 = sub.add_parser("table1", help="second-moment comparison table")
     _add_common(p1)
     p1.add_argument("--samples", type=int, default=10**6)
-    p1.add_argument("--workers", type=int, default=1)
+    p1.add_argument("--workers", type=int, default=1,
+                    help="threads that estimate chunks in parallel; the "
+                         "table does not depend on it")
 
     p2 = sub.add_parser("sweep", help="Monte Carlo recovery-rate sweep")
     _add_common(p2)

@@ -10,6 +10,10 @@ import numpy as np
 from .lattices import ScaledLattice, ConfigurationError, fold, make_lattice, ZN, A2, DN, E8
 
 _CHUNK = 1 << 18
+# rows drawn, folded and squared at a time within a chunk: it bounds every
+# temporary (the decoder's largest is (cosets, _TILE, n) floats, 1 MB on E8),
+# and the estimate does not depend on it
+_TILE = 1 << 13
 
 # best known 3D / 24D quantizers; no nearest-point algorithm here, so their
 # rows are reported as literature constants only
@@ -48,9 +52,12 @@ def estimate_second_moment(lattice: ScaledLattice, n_samples: int, seed,
     """Monte Carlo estimate of the dimensionless second moment G.
 
     Samples are partitioned into fixed-size chunks with independent
-    substreams seeded by ``(seed, chunk_index)``, so the result does not
-    depend on the worker count. ``G = E|r|^2 / (n V^{2/n})`` for ``r``
-    uniform on the cell; the estimate is invariant to the inradius.
+    substreams seeded by ``(seed, chunk_index)``. Each chunk is streamed
+    through tiles of ``_TILE`` rows that draw from its substream in order,
+    and only its ``(m,)`` squared norms are kept, so the peak memory is one
+    tile's, not one chunk's. The result depends on neither the tile size
+    nor the worker count. ``G = E|r|^2 / (n V^{2/n})`` for ``r`` uniform on
+    the cell; the estimate is invariant to the inradius.
     """
     if n_samples < 10**4:
         raise ConfigurationError("need at least 1e4 samples")
@@ -59,8 +66,10 @@ def estimate_second_moment(lattice: ScaledLattice, n_samples: int, seed,
 
     def one(i):
         rng = np.random.default_rng(np.random.SeedSequence([int(seed), i]))
-        r = sample_uniform_cell(lattice, rng, sizes[i])
-        r2 = (r**2).sum(axis=1)
+        r2 = np.empty(sizes[i])
+        for t in range(0, sizes[i], _TILE):
+            r = sample_uniform_cell(lattice, rng, min(_TILE, sizes[i] - t))
+            r2[t:t + len(r)] = (r**2).sum(axis=1)
         return r2.sum(), (r2**2).sum()
 
     if workers > 1:

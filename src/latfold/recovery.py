@@ -4,7 +4,8 @@ and the sparsity-regularized variant.
 All three recover the per-sample lattice offsets ``p[k]`` with
 ``f[k] = y[k] + p[k]`` from a folded (possibly distorted) record. The
 out-of-band methods use the fact that for a bandlimited signal the
-out-of-band DFT content of ``y`` equals that of ``-p``.
+out-of-band DFT content of ``y`` equals that of ``-p``. Each raises
+``NonFiniteInputError`` on NaN or infinite samples before it solves.
 """
 
 from __future__ import annotations
@@ -16,8 +17,8 @@ from typing import Optional
 
 import numpy as np
 
-from .lattices import (ConfigurationError, ScaledLattice, nearest_point,
-                       snap_to_lattice)
+from .lattices import (ConfigurationError, NonFiniteInputError, ScaledLattice,
+                       nearest_point, snap_to_lattice)
 
 
 class RecoveryNumericalError(RuntimeError):
@@ -79,6 +80,11 @@ def build_oob_operator(K: int, omega_max: float, fs: float,
     if sel.size == 0:
         raise ConfigurationError("out-of-band bin set is empty")
     return OobOperator(K=K, selected_bins=sel)
+
+
+def _check_finite(y: np.ndarray) -> None:
+    if not np.isfinite(y).all():
+        raise NonFiniteInputError("recovery input holds NaN or infinite samples")
 
 
 @dataclass(frozen=True)
@@ -209,6 +215,7 @@ def b2r2_recover(y: np.ndarray, lattice: ScaledLattice, oob: OobOperator,
     ``bound`` is the known dynamic range: a row whose solution exceeds it
     is not committed.
     """
+    _check_finite(y)
     p_fix, rounds, obj = _b2r2_lstsq(y, lattice, oob, support_margin, bound)
     p_hat = snap_to_lattice(lattice, p_fix)     # rows are decoder outputs or 0
     return RecoveryResult(f_hat=y + p_hat, p_hat=p_hat, iterations=rounds,
@@ -231,6 +238,7 @@ def lasso_b2r2_recover(y: np.ndarray, lattice: ScaledLattice,
     the shrinkage bias, then ``C v`` is rounded to the lattice. ``mu``
     weighs the l1 penalty; None means ``0.1 * max |F y|``.
     """
+    _check_finite(y)
     K = oob.K
     Fy = oob.apply(y)
     if mu is None:

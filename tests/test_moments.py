@@ -1,3 +1,7 @@
+import hashlib
+import json
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -75,6 +79,28 @@ def test_second_moment_worker_count_invariant():
     a = estimate_second_moment(lat, 10**5, seed=5, workers=1)
     b = estimate_second_moment(lat, 10**5, seed=5, workers=4)
     assert a.G == b.G and a.std_err == b.std_err
+
+
+def test_table1_pinned_across_chunks_and_workers():
+    # two chunks, the second ending in a partial tile; the digest is of the
+    # JSON that ``latfold table1 --format json`` writes
+    n = 2**18 + 4099
+    for workers in (1, 2):
+        rows = table1_report(n_samples=n, seed=0, workers=workers)
+        out = json.dumps(rows, indent=2, sort_keys=True) + "\n"
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "c0bbe799a75861ceeb5d7dd21f0ec9238c1f32a0afdc0277d0ba0217de0f6ce3")
+
+
+def test_second_moment_peak_memory_below_one_chunk_draw():
+    lat = make_lattice(E8, 8, 1.0)
+    tracemalloc.start()
+    try:
+        estimate_second_moment(lat, 2**18, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**18 * 8 * 8        # bytes of one chunk's (2^18, 8) draw
 
 
 def test_std_err_scaling():

@@ -1,9 +1,11 @@
+import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from latfold import (A2, ConfigurationError, E8, ZN, SignalConfig, b2r2_recover, build_oob_operator,
+from latfold import (A2, ConfigurationError, E8, ZN, NonFiniteInputError, SignalConfig,
+                     b2r2_recover, build_oob_operator,
                      check_recovery, fold_signal, hod_recover,
                      lasso_b2r2_recover, make_lattice, make_test_signal)
 from latfold.channels import add_noise, lattice_quantize, scalar_quantize
@@ -413,6 +415,23 @@ def test_lasso_negative_mu_rejected():
     oob = build_oob_operator(120, 9.5, 120.0, guard=0.05)
     with pytest.raises(ConfigurationError):
         lasso_b2r2_recover(y, lat, oob, mu=-1.0)
+
+
+# ------------------------------------------------------------ input contract
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("recover", [
+    lambda y, lat, oob: hod_recover(y, lat, 2),
+    lambda y, lat, oob: b2r2_recover(y, lat, oob),
+    lambda y, lat, oob: lasso_b2r2_recover(y, lat, oob),
+], ids=["hod", "b2r2", "lasso"])
+def test_recoverers_reject_non_finite_samples(recover, bad):
+    lat = make_lattice(ZN, 2, 1.0)
+    oob = build_oob_operator(120, 10.0, 120.0, guard=0.1)
+    y = np.zeros((120, 2))
+    y[40, 1] = bad
+    with pytest.raises(NonFiniteInputError):
+        recover(y, lat, oob)
 
 
 # ------------------------------------------------------------ check_recovery
