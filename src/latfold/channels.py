@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .lattices import NonFiniteInputError, ScaledLattice, fold, nearest_point
+from .lattices import ScaledLattice, _check_finite, fold, nearest_point
 
 
 def _check_bits(bits) -> None:
@@ -24,11 +24,6 @@ def _check_bits(bits) -> None:
 def _check_snr(snr_db) -> None:
     if not snr_db > 0:
         raise ValueError(f"snr_db must be positive (or inf), got {snr_db!r}")
-
-
-def _check_finite(y: np.ndarray) -> None:
-    if not np.isfinite(y).all():
-        raise NonFiniteInputError("channel input holds NaN or infinite samples")
 
 
 def fold_signal(f: np.ndarray, lattice: ScaledLattice):
@@ -47,7 +42,7 @@ def add_noise(y: np.ndarray, snr_db: float, seed, law: str = "gaussian") -> np.n
     returns ``y`` unchanged. The uniform law matches the Gaussian variance.
     """
     _check_snr(snr_db)
-    _check_finite(y)
+    _check_finite(y, "channel input")
     if math.isinf(snr_db):
         return y
     rng = np.random.default_rng(seed)
@@ -73,7 +68,7 @@ def scalar_quantize(y: np.ndarray, bits: float, lam: float) -> np.ndarray:
     ``lam`` per coordinate, and clipping there would distort the error law.
     """
     _check_bits(bits)
-    _check_finite(y)
+    _check_finite(y, "channel input")
     if math.isinf(bits):
         return y
     step = 2.0 * lam / 2.0 ** int(bits)
@@ -83,7 +78,7 @@ def scalar_quantize(y: np.ndarray, bits: float, lam: float) -> np.ndarray:
 def lattice_quantize(y: np.ndarray, lattice: ScaledLattice, bits: float) -> np.ndarray:
     """Matched quantizer: nearest point of the scaled lattice ``2^-B Lambda``."""
     _check_bits(bits)
-    _check_finite(y)
+    _check_finite(y, "channel input")
     if math.isinf(bits):
         return y
     s = 2.0 ** (-int(bits))

@@ -49,9 +49,7 @@ def main(argv=None) -> int:
     p2.add_argument("--trials", type=int, default=None)
     p2.add_argument("--algorithm", choices=ALGORITHMS, default=None)
     p2.add_argument("--order", type=int, default=None, help="difference order for hod")
-    p2.add_argument("--mu", type=float, default=None, help="lasso regularization")
     p2.add_argument("--guard", type=float, default=None)
-    p2.add_argument("--max-iters", type=int, default=None)
     p2.add_argument("--dump-config", type=str, default=None,
                     help="write the effective config JSON and exit")
     p2.add_argument("--strict", action="store_true",
@@ -94,12 +92,8 @@ def main(argv=None) -> int:
             cfg.algorithm = args.algorithm
         if args.order is not None:
             cfg.hod_order = args.order
-        if args.mu is not None:
-            cfg.lasso_mu = args.mu
         if args.guard is not None:
             cfg.guard = args.guard
-        if args.max_iters is not None:
-            cfg.max_iters = args.max_iters
         if args.dump_config:
             cfg.save(args.dump_config)
             return 0

@@ -33,7 +33,12 @@ from .recovery import (b2r2_recover, build_oob_operator, check_recovery,
                        hod_recover, lasso_b2r2_recover)
 from .signals import SignalConfig, make_test_signal
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
+# the config keys each readable schema drops on load: v1 carries the removed
+# gradient-descent solver's ``tol``, and v1 and v2 the LASSO sweep settings
+_DROPPED_KEYS = {1: ("tol", "lasso_mu", "max_iters"),
+                 2: ("lasso_mu", "max_iters"),
+                 SCHEMA_VERSION: ()}
 
 # (active samples of the signal, active samples assumed by the solver,
 # margin leak budget as a fraction of the peak) per oversampling factor,
@@ -55,7 +60,7 @@ ARCHITECTURES = {
     "e8+e8q": {"fold": E8, "quantizer": "lattice"},
 }
 
-ALGORITHMS = ("b2r2", "lasso", "hod")
+ALGORITHMS = ("b2r2", "hod")
 
 
 class DemoRecoveryError(RuntimeError):
@@ -137,9 +142,7 @@ class ExperimentConfig:
     architectures: tuple = ("square", "e8")
     algorithm: str = "b2r2"
     hod_order: int = 2
-    lasso_mu: Optional[float] = None
     guard: float = 0.04
-    max_iters: int = 5000
     noise_law: str = "gaussian"
     n_trials: int = 50
     master_seed: int = 0
@@ -155,10 +158,12 @@ class ExperimentConfig:
     def from_dict(cls, d: dict) -> "ExperimentConfig":
         d = dict(d)
         version = d.pop("schema_version", SCHEMA_VERSION)
-        if version == 1:
-            d.pop("tol", None)     # v1 only: tolerance of the removed GD solver
-        elif version != SCHEMA_VERSION:
-            raise ConfigurationError(f"unsupported config schema {version}")
+        try:
+            dropped = _DROPPED_KEYS[version]
+        except (KeyError, TypeError):
+            raise ConfigurationError(f"unsupported config schema {version}") from None
+        for key in dropped:
+            d.pop(key, None)
         unknown = sorted(set(d) - {f.name for f in fields(cls)})
         if unknown:
             raise ConfigurationError(f"unknown config keys {unknown}")
@@ -289,8 +294,6 @@ def run_trial(cfg: ExperimentConfig, of, kind: str, level, arch: str,
     if cfg.algorithm == "b2r2":
         result = b2r2_recover(y, lattice, oob, K - solver_act,
                               cfg.dr_factor * cfg.lam + lattice.d_min)
-    elif cfg.algorithm == "lasso":
-        result = lasso_b2r2_recover(y, lattice, oob, cfg.lasso_mu, cfg.max_iters)
     elif cfg.algorithm == "hod":
         result = hod_recover(y, lattice, cfg.hod_order)
     else:

@@ -41,7 +41,13 @@ class UnsupportedLatticeError(ValueError):
 
 
 class NonFiniteInputError(ValueError):
-    """A nearest-point query holds NaN or infinite coordinates."""
+    """A nearest-point query, channel or recoverer got NaN or infinite input."""
+
+
+def _check_finite(x, what: str) -> None:
+    """Raise NonFiniteInputError if ``x`` holds NaN or an infinity."""
+    if not np.isfinite(x).all():
+        raise NonFiniteInputError(f"{what} holds NaN or infinite values")
 
 
 @dataclass(frozen=True)
@@ -216,8 +222,7 @@ def _decode(x, code: _CosetCode, scale) -> np.ndarray:
     keeps the nearest candidate under the code's tie rule.
     """
     x = np.asarray(x, dtype=float)
-    if not np.isfinite(x).all():
-        raise NonFiniteInputError("nearest point of a non-finite vector")
+    _check_finite(x, "nearest-point query")
     u = x.reshape(-1, x.shape[-1]) / scale
     if code.shifts is None:
         return (code.base(u) * scale).reshape(x.shape)
@@ -267,8 +272,7 @@ def folds_to_zero(x, lattice: ScaledLattice) -> bool:
     x = np.asarray(x, dtype=float)
     if x.shape[-1:] != (lattice.n,):
         raise ConfigurationError(f"{lattice.family}({lattice.n}) got shape {x.shape}")
-    if not np.isfinite(x).all():
-        raise NonFiniteInputError("nearest point of a non-finite vector")
+    _check_finite(x, "nearest-point query")
     x = x.reshape(-1, lattice.n)
     r2 = np.einsum("ij,ij->i", x, x)
     if r2.max(initial=0.0) > (lattice.covering_radius * (1.0 + 1e-9)) ** 2:

@@ -86,7 +86,7 @@ def estimate_second_moment(lattice: ScaledLattice, n_samples: int, seed,
     denom = lattice.n * lattice.volume ** (2.0 / lattice.n)
     G = mean / denom
     std_err = math.sqrt(var / n_samples) / denom
-    return SecondMomentEstimate(G=G, mse_per_cell=lattice.n * G * lattice.volume ** (2.0 / lattice.n),
+    return SecondMomentEstimate(G=G, mse_per_cell=predicted_mse(lattice, G),
                                 n_samples=n_samples, std_err=std_err)
 
 

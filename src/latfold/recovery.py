@@ -17,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from .lattices import (ConfigurationError, NonFiniteInputError, ScaledLattice,
+from .lattices import (ConfigurationError, ScaledLattice, _check_finite,
                        nearest_point, snap_to_lattice)
 
 
@@ -82,11 +82,6 @@ def build_oob_operator(K: int, omega_max: float, fs: float,
     return OobOperator(K=K, selected_bins=sel)
 
 
-def _check_finite(y: np.ndarray) -> None:
-    if not np.isfinite(y).all():
-        raise NonFiniteInputError("recovery input holds NaN or infinite samples")
-
-
 @dataclass(frozen=True)
 class RecoveryResult:
     f_hat: np.ndarray
@@ -125,8 +120,10 @@ def hod_recover(y: np.ndarray, lattice: ScaledLattice, order: int) -> RecoveryRe
 CONFIDENCE = 0.3
 MAX_ROUNDS = 12
 RCOND = 1e-11
-# LASSO-B2R2 stops when the objective changes by at most LASSO_TOL relative.
+# LASSO-B2R2 stops when the objective changes by at most LASSO_TOL relative,
+# or after LASSO_MAX_ITERS proximal-gradient steps.
 LASSO_TOL = 1e-13
+LASSO_MAX_ITERS = 6000
 
 
 @functools.lru_cache(maxsize=32)
@@ -215,7 +212,7 @@ def b2r2_recover(y: np.ndarray, lattice: ScaledLattice, oob: OobOperator,
     ``bound`` is the known dynamic range: a row whose solution exceeds it
     is not committed.
     """
-    _check_finite(y)
+    _check_finite(y, "recovery input")
     p_fix, rounds, obj = _b2r2_lstsq(y, lattice, oob, support_margin, bound)
     p_hat = snap_to_lattice(lattice, p_fix)     # rows are decoder outputs or 0
     return RecoveryResult(f_hat=y + p_hat, p_hat=p_hat, iterations=rounds,
@@ -227,8 +224,8 @@ def _cumsum_adjoint(g: np.ndarray) -> np.ndarray:
 
 
 def lasso_b2r2_recover(y: np.ndarray, lattice: ScaledLattice,
-                       oob: OobOperator, mu: Optional[float] = None,
-                       max_iters: int = 6000) -> RecoveryResult:
+                       oob: OobOperator,
+                       mu: Optional[float] = None) -> RecoveryResult:
     """Sparsity-regularized unfolding on the fold-event differences.
 
     Writes ``p = C v`` with ``C`` the cumulative sum, penalizes ``|v|_1``
@@ -238,7 +235,7 @@ def lasso_b2r2_recover(y: np.ndarray, lattice: ScaledLattice,
     the shrinkage bias, then ``C v`` is rounded to the lattice. ``mu``
     weighs the l1 penalty; None means ``0.1 * max |F y|``.
     """
-    _check_finite(y)
+    _check_finite(y, "recovery input")
     K = oob.K
     Fy = oob.apply(y)
     if mu is None:
@@ -273,7 +270,7 @@ def lasso_b2r2_recover(y: np.ndarray, lattice: ScaledLattice,
     prev_obj = math.inf
     it = 0
     converged = False
-    for it in range(1, max_iters + 1):
+    for it in range(1, LASSO_MAX_ITERS + 1):
         w = v + ((t_mom - 1.0) / (t_mom + 2.0)) * (v - v_prev)
         g, quad = smooth_grad(w)
         if not math.isfinite(quad):

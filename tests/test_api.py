@@ -1,6 +1,11 @@
+import dataclasses
 import inspect
+import re
+
+import pytest
 
 import latfold
+from latfold.cli import main
 
 # The package's public functions, classes and constants. Adding or removing
 # a public name means editing this list.
@@ -29,9 +34,21 @@ PIPELINE_SIGNATURES = {
     "lattice_quantize": ["y", "lattice", "bits"],
     "hod_recover": ["y", "lattice", "order"],
     "b2r2_recover": ["y", "lattice", "oob", "support_margin", "bound"],
-    "lasso_b2r2_recover": ["y", "lattice", "oob", "mu", "max_iters"],
+    "lasso_b2r2_recover": ["y", "lattice", "oob", "mu"],
     "check_recovery": ["p_hat", "p_true", "lattice"],
 }
+
+# The sweep's settable surface: the config fields and the long options of
+# `latfold sweep`. Adding or removing a knob means editing these lists.
+EXPERIMENT_CONFIG_FIELDS = [
+    "name", "n_channels", "omega_max", "duration", "lam", "dr_factor",
+    "of_list", "snr_db_list", "bits_list", "architectures", "algorithm",
+    "hod_order", "guard", "noise_law", "n_trials", "master_seed",
+]
+SWEEP_OPTIONS = [
+    "--algorithm", "--config", "--dump-config", "--format", "--guard",
+    "--help", "--order", "--out", "--preset", "--seed", "--strict", "--trials",
+]
 
 
 def test_public_api():
@@ -41,3 +58,16 @@ def test_public_api():
 def test_pipeline_signatures():
     for name, params in PIPELINE_SIGNATURES.items():
         assert list(inspect.signature(getattr(latfold, name)).parameters) == params, name
+
+
+def test_experiment_config_fields():
+    fields = [f.name for f in dataclasses.fields(latfold.ExperimentConfig)]
+    assert fields == EXPERIMENT_CONFIG_FIELDS
+
+
+def test_sweep_options(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--help"])
+    assert exc.value.code == 0
+    shown = set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out))
+    assert sorted(shown) == SWEEP_OPTIONS

@@ -27,7 +27,7 @@ def test_config_roundtrip(tmp_path):
     loaded = ExperimentConfig.load(path)
     assert loaded == cfg
     raw = json.loads(path.read_text())
-    assert raw["schema_version"] == 2
+    assert raw["schema_version"] == 3
 
 
 def test_config_rejects_unknown_schema():
@@ -36,11 +36,17 @@ def test_config_rejects_unknown_schema():
 
 
 def test_config_reads_v1_dropping_tol():
-    v1 = {**table3_config(n_trials=7).to_dict(), "schema_version": 1, "tol": 1e-10}
+    v3 = table3_config(n_trials=7).to_dict()
+    lasso = {"lasso_mu": None, "max_iters": 5000}
+    v1 = {**v3, **lasso, "schema_version": 1, "tol": 1e-10}
     assert ExperimentConfig.from_dict(v1) == table3_config(n_trials=7)
-    v2 = {**v1, "schema_version": 2}
+    v2 = {**v3, **lasso, "schema_version": 2}
+    assert ExperimentConfig.from_dict(v2) == table3_config(n_trials=7)
     with pytest.raises(ConfigurationError, match="tol"):
-        ExperimentConfig.from_dict(v2)
+        ExperimentConfig.from_dict({**v2, "tol": 1e-10})
+    for key, value in lasso.items():
+        with pytest.raises(ConfigurationError, match=key):
+            ExperimentConfig.from_dict({**v3, key: value})
 
 
 def test_config_rejects_unknown_key():
@@ -92,6 +98,7 @@ def test_sweep_bad_architecture_is_cell_error():
     ("bits_list", (0,), "bits must be an integer in 1..24 or inf, got 0"),
     ("bits_list", (4, 25), "bits must be an integer in 1..24 or inf, got 25"),
     ("bits_list", (2.5,), "bits must be an integer in 1..24 or inf, got 2.5"),
+    ("algorithm", "lasso", "algorithm 'lasso'"),
 ])
 def test_sweep_rejects_bad_config_up_front(field, value, named, monkeypatch):
     import latfold.experiments as experiments
@@ -111,6 +118,26 @@ def test_cli_sweep_reports_bad_config(tmp_path, capsys):
             main(["sweep", "--config", str(path)])
         assert exc.value.code == 2
         assert named in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--mu", "--max-iters"])
+def test_cli_sweep_rejects_removed_lasso_flags(flag, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", flag, "0.1"])
+    assert exc.value.code == 2
+    assert flag in capsys.readouterr().err
+
+
+def test_hod_sweep_rates_pinned():
+    # HOD needs OF >= 6 on the 8-channel burst study, for both lattices
+    cfg = ExperimentConfig(algorithm="hod", snr_db_list=(20, 30, None),
+                           architectures=("square", "e8"), n_trials=5,
+                           master_seed=0)
+    cells = run_sweep(cfg).cells
+    assert len(cells) == 4 * 3 * 2
+    for c in cells:
+        assert c.error is None and c.algorithm == "hod"
+        assert c.rate == (0.0 if c.of in (2, 4) else 1.0), c
 
 
 def test_cli_out_writes_what_stdout_shows(tmp_path, capsys):
@@ -229,7 +256,7 @@ def test_emit_empty_sweep_header_only():
 def test_emit_json_and_text_forms():
     result = run_sweep(_tiny_config())
     payload = json.loads(emit_tables(result, fmt="json"))
-    assert payload["config"]["schema_version"] == 2
+    assert payload["config"]["schema_version"] == 3
     assert len(payload["cells"]) == 2
     text = emit_tables(result, fmt="text")
     assert "architecture" in text.splitlines()[0]
