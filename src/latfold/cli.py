@@ -7,7 +7,7 @@ import json
 import sys
 from pathlib import Path
 
-from .experiments import (ALGORITHMS, ExperimentConfig, emit_tables,
+from .experiments import (ALGORITHMS, ExperimentConfig, _check_config, emit_tables,
                           emit_trajectory_demo, quantize_bench, run_sweep,
                           table3_config, table4_config)
 from .lattices import ConfigurationError
@@ -94,13 +94,14 @@ def main(argv=None) -> int:
             cfg.hod_order = args.order
         if args.guard is not None:
             cfg.guard = args.guard
+        try:
+            _check_config(cfg)
+        except ConfigurationError as exc:
+            parser.error(str(exc))
         if args.dump_config:
             cfg.save(args.dump_config)
             return 0
-        try:
-            result = run_sweep(cfg)
-        except ConfigurationError as exc:
-            parser.error(str(exc))
+        result = run_sweep(cfg)
         _write(emit_tables(result, fmt=args.format), args.out)
         bad = [c for c in result.cells if c.error]
         if bad:

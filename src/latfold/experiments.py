@@ -14,6 +14,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import numbers
 import time
 import zlib
 from dataclasses import dataclass, asdict, fields, replace
@@ -362,6 +363,10 @@ def _check_config(cfg: ExperimentConfig) -> None:
             raise ConfigurationError(f"unknown {name} {bad[0]!r}, known: {sorted(known)}")
     if cfg.n_trials < 1:
         raise ConfigurationError(f"n_trials must be >= 1, got {cfg.n_trials!r}")
+    order = cfg.hod_order
+    if cfg.algorithm == "hod" and not (isinstance(order, numbers.Integral)
+                                       and not isinstance(order, bool) and order >= 1):
+        raise ConfigurationError(f"hod_order must be an integer >= 1, got {order!r}")
     for check, levels in ((_check_snr, cfg.snr_db_list), (_check_bits, cfg.bits_list)):
         for level in [v for v in levels if v is not None]:
             try:

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+from scipy.linalg.lapack import dgels
 
 from .lattices import (ConfigurationError, ScaledLattice, _check_finite,
                        nearest_point, snap_to_lattice)
@@ -115,8 +116,9 @@ def hod_recover(y: np.ndarray, lattice: ScaledLattice, order: int) -> RecoveryRe
 
 
 # B2R2 commits a row whose solution lies within CONFIDENCE * lam of a
-# lattice point, runs at most MAX_ROUNDS decision-feedback rounds, and
-# truncates singular values below RCOND times the largest in each solve.
+# lattice point and runs at most MAX_ROUNDS decision-feedback rounds. Each
+# solve treats singular values below RCOND times the largest as zero; that
+# truncation only fires on rank-deficient windows (see _b2r2_lstsq).
 CONFIDENCE = 0.3
 MAX_ROUNDS = 12
 RCOND = 1e-11
@@ -133,13 +135,32 @@ def _window_factor(K: int, bins: bytes, margin: int):
     ``A_W`` depends only on the record length, the selected bins (given as
     the bytes of the ``intp`` bin array, so the key is hashable) and the
     margin, so one factor serves every trial and every round at one
-    oversampling factor. Returns read-only ``Q`` and ``R``.
+    oversampling factor. Returns read-only ``Q`` and ``R`` and whether
+    ``A_W`` has full column rank at ``RCOND``: ``R`` is square and
+    ``sigma_min(R) > RCOND * sigma_max(R)``.
     """
     rows = _dft_rows(K, np.frombuffer(bins, dtype=np.intp), np.arange(margin, K))
     Q, R = np.linalg.qr(rows)
     Q.setflags(write=False)
     R.setflags(write=False)
-    return Q, R
+    s = np.linalg.svd(R, compute_uv=False)
+    full_rank = R.shape[0] == R.shape[1] and bool(s[-1] > RCOND * s[0])
+    return Q, R, full_rank
+
+
+def _window_solve(R, full_rank, idx, rhs, rounds):
+    """``argmin |R[:, idx] x - rhs|`` for one B2R2 round.
+
+    One Householder QR solve (``dgels``) on a ``full_rank`` window, else
+    ``lstsq`` with its ``RCOND`` truncation.
+    """
+    if not full_rank:
+        sol, *_ = np.linalg.lstsq(R[:, idx], rhs, rcond=RCOND)
+        return sol
+    _, x, info = dgels(R[:, idx], rhs)
+    if info != 0:
+        raise RecoveryNumericalError(rounds)
+    return x[:idx.size]
 
 
 def _b2r2_lstsq(y, lattice, oob, support_margin, bound):
@@ -154,15 +175,26 @@ def _b2r2_lstsq(y, lattice, oob, support_margin, bound):
     orthonormal columns), ``Q^T A_S = R[:, S]`` for every column subset S,
     and the part of the data outside range(Q) does not depend on the
     unknowns. So ``min |A_S x + b|`` and ``min |R[:, S] x + Q^T b|`` have
-    the same minimizer, and ``R[:, S]`` has the singular values of ``A_S``,
-    which keeps the ``rcond`` truncation of ``lstsq``. Every round solves
-    the small |W|-row system; the DFT rows are built and factored once per
-    window. Normal equations (the Gram matrix ``A^T A``) would square
-    cond(A), which reaches about 8.6e6 at oversampling 2.
+    the same minimizer, and ``R[:, S]`` has the singular values of ``A_S``.
+    Every round solves the small |W|-row system; the DFT rows are built
+    and factored once per window.
+
+    Deleting columns cannot lower the smallest singular value of a
+    full-column-rank matrix or raise its largest, so on a window whose
+    ``R`` is square with ``sigma_min > RCOND * sigma_max`` every ``R[:, S]``
+    passes the same test: ``lstsq`` would truncate nothing, and its
+    minimizer is the full-rank least-squares solution that one Householder
+    QR solve (LAPACK ``dgels``) returns. The ``rcond`` truncation of
+    ``lstsq`` matters only on rank-deficient windows, such as a margin of 0
+    where in-band sequences span the null space (cond(R) about 9.5e14 at
+    K = 120); those keep ``lstsq``. The sweep's windows are far inside the
+    bound: cond(R) is about 8.6e6, 8.2e5, 334 and 2.5e3 at oversampling 2,
+    4, 6 and 8, against 1 / RCOND = 1e11. Normal equations (the Gram
+    matrix ``A^T A``) would square cond(A).
     """
     K = oob.K
     margin = max(0, min(support_margin, K - 1))
-    Q, R = _window_factor(K, oob.selected_bins.tobytes(), margin)
+    Q, R, full_rank = _window_factor(K, oob.selected_bins.tobytes(), margin)
     Fy = oob.apply(y)
     c0 = -Q.T @ np.vstack([Fy.real, Fy.imag])
     unknown = np.ones(K - margin, dtype=bool)    # over the window
@@ -170,8 +202,7 @@ def _b2r2_lstsq(y, lattice, oob, support_margin, bound):
     p_win = p_fix[margin:]                       # view: commits land in p_fix
 
     def solve(idx):
-        sol, *_ = np.linalg.lstsq(R[:, idx], c0 - R @ p_win, rcond=RCOND)
-        return sol
+        return _window_solve(R, full_rank, idx, c0 - R @ p_win, rounds)
 
     rounds = 0
     for rounds in range(1, MAX_ROUNDS + 1):

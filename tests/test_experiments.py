@@ -108,16 +108,32 @@ def test_sweep_rejects_bad_config_up_front(field, value, named, monkeypatch):
         run_sweep(_tiny_config(**{field: value}))
 
 
+@pytest.mark.parametrize("order", [0, 2.5, True])
+def test_sweep_rejects_bad_hod_order_up_front(order, monkeypatch):
+    import latfold.experiments as experiments
+    monkeypatch.setattr(experiments, "_run_cell_trials",
+                        lambda *a: pytest.fail("a cell ran before the config check"))
+    with pytest.raises(ConfigurationError,
+                       match=re.escape(f"hod_order must be an integer >= 1, got {order!r}")):
+        run_sweep(_tiny_config(algorithm="hod", hod_order=order))
+
+
 def test_cli_sweep_reports_bad_config(tmp_path, capsys):
     bad_of = tmp_path / "of.json"
     _tiny_config(of_list=(3,)).save(bad_of)
     bad_key = tmp_path / "key.json"
     bad_key.write_text(json.dumps({"schema_version": 2, "nope": 1}))
-    for path, named in ((bad_of, "oversampling factor 3"), (bad_key, "nope")):
+    dumped = tmp_path / "dumped.json"
+    for argv, named in (
+            (["--config", str(bad_of)], "oversampling factor 3"),
+            (["--config", str(bad_key)], "nope"),
+            (["--algorithm", "hod", "--order", "0"], "hod_order must be an integer >= 1, got 0"),
+            (["--trials", "0", "--dump-config", str(dumped)], "n_trials must be >= 1, got 0")):
         with pytest.raises(SystemExit) as exc:
-            main(["sweep", "--config", str(path)])
+            main(["sweep", *argv])
         assert exc.value.code == 2
         assert named in capsys.readouterr().err
+    assert not dumped.exists()
 
 
 @pytest.mark.parametrize("flag", ["--mu", "--max-iters"])

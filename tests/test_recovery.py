@@ -4,7 +4,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from latfold import (A2, ConfigurationError, E8, ZN, NonFiniteInputError, SignalConfig,
+from latfold import (A2, ConfigurationError, E8, ZN, NonFiniteInputError,
+                     RecoveryNumericalError, SignalConfig,
                      b2r2_recover, build_oob_operator,
                      check_recovery, fold_signal, hod_recover,
                      lasso_b2r2_recover, make_lattice, make_test_signal)
@@ -13,7 +14,7 @@ from latfold.experiments import ACTIVE_SCHEDULE, draw_margin_trial
 from latfold.lattices import nearest_point
 from latfold import recovery
 from latfold.recovery import (CONFIDENCE, MAX_ROUNDS, RCOND, OobOperator,
-                              _b2r2_lstsq, _window_factor)
+                              _b2r2_lstsq, _window_factor, _window_solve)
 
 
 def _start_in_cell(cfg, lattice, max_tries=400):
@@ -293,13 +294,51 @@ def test_window_factor_keeps_singular_values(of):
     # singular values of the full one, so lstsq truncates at the same rcond
     K, _, _, oob, solver_margin = _sweep_case(of)
     window = np.arange(solver_margin, K)
-    _, R = _window_factor(K, oob.selected_bins.tobytes(), solver_margin)
+    _, R, _ = _window_factor(K, oob.selected_bins.tobytes(), solver_margin)
     rng = np.random.default_rng(of)
     for size in (1, len(window) // 2, len(window) - 1, len(window)):
         cols = np.sort(rng.choice(len(window), size=size, replace=False))
         s_red = np.linalg.svd(R[:, cols], compute_uv=False)
         s_full = np.linalg.svd(oob.rows_for(window[cols]), compute_uv=False)
         assert np.allclose(s_red, s_full, rtol=1e-9, atol=1e-9 * s_full[0])
+
+
+@pytest.mark.parametrize("oob, margin, full_rank", [
+    *[(*_sweep_case(of)[3:], True) for of in (2, 4, 6, 8)],
+    # margin 0: in-band sequences span the null space (cond about 9.5e14)
+    (build_oob_operator(120, 10.0, 120.0), 0, False),
+    # hand-built bins at margin 60 (cond about 1.4e14)
+    (OobOperator(K=120, selected_bins=np.arange(30, 90)), 60, False),
+], ids=["of2", "of4", "of6", "of8", "margin0", "hand_built"])
+def test_window_factor_flags_full_rank(oob, margin, full_rank):
+    # the sweep windows take the QR solve; rank-deficient ones keep lstsq
+    _, _, flag = _window_factor(oob.K, oob.selected_bins.tobytes(), margin)
+    assert flag is full_rank
+
+
+@pytest.mark.parametrize("of", [2, 4, 6, 8])
+def test_window_solve_matches_lstsq(of):
+    # on a flagged window the QR solve is lstsq's minimizer for any columns;
+    # two backward-stable solvers differ by a small multiple of cond * eps
+    K, _, _, oob, solver_margin = _sweep_case(of)
+    _, R, _ = _window_factor(K, oob.selected_bins.tobytes(), solver_margin)
+    n_win = K - solver_margin
+    rng = np.random.default_rng(of)
+    rhs = rng.standard_normal((n_win, 8))
+    for size in (1, n_win // 2, n_win - 1, n_win):
+        cols = np.sort(rng.choice(n_win, size=size, replace=False))
+        ref, *_ = np.linalg.lstsq(R[:, cols], rhs, rcond=RCOND)
+        sol = _window_solve(R, True, cols, rhs, 1)
+        tol = 100 * np.linalg.cond(R[:, cols]) * np.finfo(float).eps
+        assert np.abs(sol - ref).max() <= tol * np.abs(ref).max(), size
+
+
+def test_window_solve_reports_singular_factor():
+    # dgels's info > 0 (a zero diagonal in its R) must not pass silently
+    R = np.diag([1.0, 2.0, 0.0, 3.0])
+    with pytest.raises(RecoveryNumericalError) as err:
+        _window_solve(R, True, np.arange(4), np.ones((4, 2)), 5)
+    assert err.value.iteration == 5
 
 
 def test_b2r2_builds_window_rows_once(monkeypatch):
