@@ -17,7 +17,6 @@ from .moments import format_report_csv, format_report_text, table1_report
 def _add_common(p):
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", type=str, default=None, help="output file or directory")
-    p.add_argument("--format", choices=("csv", "json", "text"), default="text")
 
 
 def _write(out: str, path) -> None:
@@ -36,6 +35,7 @@ def main(argv=None) -> int:
 
     p1 = sub.add_parser("table1", help="second-moment comparison table")
     _add_common(p1)
+    p1.add_argument("--format", choices=("csv", "json", "text"), default="text")
     p1.add_argument("--samples", type=int, default=10**6)
     p1.add_argument("--workers", type=int, default=1,
                     help="threads that estimate chunks in parallel; the "
@@ -43,13 +43,13 @@ def main(argv=None) -> int:
 
     p2 = sub.add_parser("sweep", help="Monte Carlo recovery-rate sweep")
     _add_common(p2)
+    p2.add_argument("--format", choices=("csv", "json", "text"), default="text")
     p2.add_argument("--config", type=str, default=None, help="JSON config file")
     p2.add_argument("--preset", choices=("additive", "quantization"),
                     default=None)
     p2.add_argument("--trials", type=int, default=None)
     p2.add_argument("--algorithm", choices=ALGORITHMS, default=None)
     p2.add_argument("--order", type=int, default=None, help="difference order for hod")
-    p2.add_argument("--guard", type=float, default=None)
     p2.add_argument("--dump-config", type=str, default=None,
                     help="write the effective config JSON and exit")
     p2.add_argument("--strict", action="store_true",
@@ -70,9 +70,10 @@ def main(argv=None) -> int:
     if args.command == "table1":
         rows = table1_report(n_samples=args.samples, seed=args.seed,
                              workers=args.workers)
-        out = format_report_csv(rows) if args.format == "csv" else format_report_text(rows)
         if args.format == "json":
             out = json.dumps(rows, indent=2, sort_keys=True) + "\n"
+        else:
+            out = (format_report_csv if args.format == "csv" else format_report_text)(rows)
         _write(out, args.out)
         return 0
 
@@ -92,8 +93,6 @@ def main(argv=None) -> int:
             cfg.algorithm = args.algorithm
         if args.order is not None:
             cfg.hod_order = args.order
-        if args.guard is not None:
-            cfg.guard = args.guard
         try:
             _check_config(cfg)
         except ConfigurationError as exc:
@@ -104,13 +103,10 @@ def main(argv=None) -> int:
         result = run_sweep(cfg)
         _write(emit_tables(result, fmt=args.format), args.out)
         bad = [c for c in result.cells if c.error]
-        if bad:
-            for c in bad:
-                print(f"cell error: OF={c.of:g} {c.level_kind}={c.level} "
-                      f"{c.architecture}: {c.error}", file=sys.stderr)
-            if args.strict:
-                return 1
-        return 0
+        for c in bad:
+            print(f"cell error: OF={c.of:g} {c.level_kind}={c.level} "
+                  f"{c.architecture}: {c.error}", file=sys.stderr)
+        return 1 if bad and args.strict else 0
 
     if args.command == "demo2d":
         outdir = args.out or "demo2d_out"

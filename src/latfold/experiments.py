@@ -20,26 +20,26 @@ import zlib
 from dataclasses import dataclass, asdict, fields, replace
 from pathlib import Path
 from types import MappingProxyType
-from typing import Mapping, Optional
+from typing import ClassVar, Mapping, Optional
 
 import numpy as np
 from scipy.linalg import eigh
 
 from .channels import (_check_bits, _check_snr, add_noise, fold_signal,
                        lattice_quantize, scalar_quantize)
-from .lattices import (A2, DN, E8, ZN, ConfigurationError, ScaledLattice, fold,
-                       folds_to_zero, in_voronoi_cell, make_lattice,
-                       voronoi_cell_polygon)
+from .lattices import (A2, E8, ZN, ConfigurationError, ScaledLattice, folds_to_zero,
+                       in_voronoi_cell, make_lattice, voronoi_cell_polygon)
+from .moments import ESTIMATED_FAMILIES, sample_uniform_cell
 from .recovery import (b2r2_recover, build_oob_operator, check_recovery,
                        hod_recover, lasso_b2r2_recover)
 from .signals import SignalConfig, make_test_signal
 
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 # the config keys each readable schema drops on load: v1 carries the removed
 # gradient-descent solver's ``tol``, and v1 and v2 the LASSO sweep settings
 _DROPPED_KEYS = {1: ("tol", "lasso_mu", "max_iters"),
                  2: ("lasso_mu", "max_iters"),
-                 SCHEMA_VERSION: ()}
+                 3: (), SCHEMA_VERSION: ()}
 
 # (active samples of the signal, active samples assumed by the solver,
 # margin leak budget as a fraction of the peak) per oversampling factor,
@@ -131,20 +131,22 @@ def draw_margin_trial(seed_seq: np.random.SeedSequence, lattice: ScaledLattice,
 class ExperimentConfig:
     """Declarative sweep description; serializes to versioned JSON."""
 
+    # the study ACTIVE_SCHEDULE is calibrated for: constants, not config keys
+    n_channels: ClassVar[int] = 8
+    omega_max: ClassVar[float] = 10.0
+    duration: ClassVar[float] = 2.0
+    lam: ClassVar[float] = 0.1
+    dr_factor: ClassVar[float] = 10.0
+    guard: ClassVar[float] = 0.04
+    noise_law: ClassVar[str] = "gaussian"
+
     name: str = "study8d"
-    n_channels: int = 8
-    omega_max: float = 10.0
-    duration: float = 2.0
-    lam: float = 0.1
-    dr_factor: float = 10.0
     of_list: tuple = (2, 4, 6, 8)
     snr_db_list: tuple = ()            # finite SNRs; None entry means noiseless
     bits_list: tuple = ()
     architectures: tuple = ("square", "e8")
     algorithm: str = "b2r2"
     hod_order: int = 2
-    guard: float = 0.04
-    noise_law: str = "gaussian"
     n_trials: int = 50
     master_seed: int = 0
 
@@ -165,7 +167,12 @@ class ExperimentConfig:
             raise ConfigurationError(f"unsupported config schema {version}") from None
         for key in dropped:
             d.pop(key, None)
-        unknown = sorted(set(d) - {f.name for f in fields(cls)})
+        keys = {f.name for f in fields(cls)}
+        for key in [k for k in cls.__annotations__ if k in d and k not in keys]:
+            value, fixed = d.pop(key), getattr(cls, key)       # a class constant
+            if value != fixed:
+                raise ConfigurationError(f"{key} is fixed at {fixed!r}, got {value!r}")
+        unknown = sorted(set(d) - keys)
         if unknown:
             raise ConfigurationError(f"unknown config keys {unknown}")
         for key in ("of_list", "snr_db_list", "bits_list", "architectures"):
@@ -255,8 +262,8 @@ def _geometry(cfg: ExperimentConfig, of):
 
 
 def fold_lattice(cfg: ExperimentConfig, family: str) -> ScaledLattice:
-    """The sweep's folding lattice of one family (E8 is always 8-D)."""
-    return make_lattice(family, cfg.n_channels if family != E8 else 8, cfg.lam)
+    """The sweep's folding lattice of one family."""
+    return make_lattice(family, cfg.n_channels, cfg.lam)
 
 
 def draw_folded(cfg: ExperimentConfig, of, lattice: ScaledLattice, sig_seed):
@@ -282,7 +289,7 @@ def run_trial(cfg: ExperimentConfig, of, kind: str, level, arch: str,
     _, solver_act, _ = ACTIVE_SCHEDULE[int(of)]
 
     if kind == "snr" and level is not None:
-        y = add_noise(clean, float(level), noise_seed, law=cfg.noise_law)
+        y = add_noise(clean, float(level), noise_seed)
     elif kind == "bits" and level is not None:
         if layout["quantizer"] == "scalar":
             y = scalar_quantize(clean, float(level), cfg.lam)
@@ -458,8 +465,7 @@ def _start_in_cell_signal(cfg: SignalConfig, lattice: ScaledLattice,
     seed = cfg.seed
     for _ in range(max_tries):
         f, band = make_test_signal(replace(cfg, seed=seed), lattice.lam)
-        _, p0 = fold(f[:1], lattice)
-        if np.all(p0 == 0):
+        if folds_to_zero(f[:1], lattice):
             return f, band
         seed += 7919
     raise DemoRecoveryError("no start-in-cell signal found")
@@ -538,11 +544,9 @@ def quantize_bench(n_samples: int = 200000, seed: int = 0,
     checks that a common scalar quantizer yields the same MSE on cube- and
     E8-folded data.
     """
-    from .moments import sample_uniform_cell
     rng = np.random.default_rng(seed)
     report = {"matched": {}, "mismatched": {}}
-    plan = [("z", ZN, 1), ("a2", A2, 2), ("d4", DN, 4), ("e8", E8, 8)]
-    for name, family, n in plan:
+    for name, family, n in ESTIMATED_FAMILIES:
         lat = make_lattice(family, n, 1.0)
         r = sample_uniform_cell(lat, rng, n_samples)
         base = float((r**2).sum(axis=1).mean())

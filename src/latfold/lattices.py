@@ -226,11 +226,8 @@ def _decode(x, code: _CosetCode, scale) -> np.ndarray:
     u = x.reshape(-1, x.shape[-1]) / scale
     if code.shifts is None:
         return (code.base(u) * scale).reshape(x.shape)
-    n = u.shape[1]
-    if n != code.shifts.shape[1]:
-        raise ConfigurationError(f"this lattice needs {code.shifts.shape[1]}-vectors")
     c = np.concatenate([u[None], u - code.shifts[:, None]])      # (cosets, m, n)
-    c = code.base(c.reshape(-1, n)).reshape(c.shape)
+    c = code.base(c.reshape(-1, u.shape[1])).reshape(c.shape)
     c[1:] += code.shifts[:, None]
     d = code.sq(u - c)                                           # (cosets, m)
     if code.tie_tol is not None:

@@ -24,6 +24,9 @@ CONSTANT_ROWS = {
 
 G_CUBIC = 1.0 / 12.0
 
+# (name, family, dimension) of the lattices whose cells are sampled
+ESTIMATED_FAMILIES = (("z", ZN, 1), ("a2", A2, 2), ("d4", DN, 4), ("e8", E8, 8))
+
 
 @dataclass(frozen=True)
 class SecondMomentEstimate:
@@ -128,8 +131,7 @@ def table1_report(n_samples: int = 10**6, seed: int = 0, workers: int = 1):
     emitted from literature constants and flagged as such.
     """
     rows = []
-    plan = [("z", ZN, 1), ("a2", A2, 2), ("d4", DN, 4), ("e8", E8, 8)]
-    for name, family, n in plan:
+    for name, family, n in ESTIMATED_FAMILIES:
         lat = make_lattice(family, n, 1.0)
         est = estimate_second_moment(lat, n_samples, seed, workers=workers)
         cube = make_lattice(ZN, n, 1.0)

@@ -320,7 +320,7 @@ def lasso_b2r2_recover(y: np.ndarray, lattice: ScaledLattice,
         C = np.zeros((K, rows.size))
         for j, i in enumerate(rows):
             C[i:, j] = 1.0
-        Fc = np.fft.fft(C, axis=0)[oob.selected_bins]
+        Fc = oob.apply(C)
         A = np.vstack([Fc.real, Fc.imag])
         b = -np.vstack([Fy.real, Fy.imag])
         sol, *_ = np.linalg.lstsq(A, b, rcond=None)

@@ -41,12 +41,11 @@ PIPELINE_SIGNATURES = {
 # The sweep's settable surface: the config fields and the long options of
 # `latfold sweep`. Adding or removing a knob means editing these lists.
 EXPERIMENT_CONFIG_FIELDS = [
-    "name", "n_channels", "omega_max", "duration", "lam", "dr_factor",
-    "of_list", "snr_db_list", "bits_list", "architectures", "algorithm",
-    "hod_order", "guard", "noise_law", "n_trials", "master_seed",
+    "name", "of_list", "snr_db_list", "bits_list", "architectures", "algorithm",
+    "hod_order", "n_trials", "master_seed",
 ]
 SWEEP_OPTIONS = [
-    "--algorithm", "--config", "--dump-config", "--format", "--guard",
+    "--algorithm", "--config", "--dump-config", "--format",
     "--help", "--order", "--out", "--preset", "--seed", "--strict", "--trials",
 ]
 

@@ -27,7 +27,7 @@ def test_config_roundtrip(tmp_path):
     loaded = ExperimentConfig.load(path)
     assert loaded == cfg
     raw = json.loads(path.read_text())
-    assert raw["schema_version"] == 3
+    assert raw["schema_version"] == 4
 
 
 def test_config_rejects_unknown_schema():
@@ -52,6 +52,44 @@ def test_config_reads_v1_dropping_tol():
 def test_config_rejects_unknown_key():
     with pytest.raises(ConfigurationError, match="nope"):
         ExperimentConfig.from_dict({"nope": 1})
+
+
+# the study constants as schemas up to 3 wrote them, and another value of each
+STUDY_KEYS = {"n_channels": 8, "omega_max": 10.0, "duration": 2.0, "lam": 0.1,
+              "dr_factor": 10.0, "guard": 0.04, "noise_law": "gaussian"}
+OTHER_VALUES = {"n_channels": 4, "omega_max": 5.0, "duration": 1.0, "lam": 1.0,
+                "dr_factor": 3.0, "guard": 0.2, "noise_law": "uniform"}
+
+
+def test_config_reads_v3_study_constants():
+    v3 = {**table3_config().to_dict(), **STUDY_KEYS, "schema_version": 3}
+    assert len(v3) == 17
+    assert ExperimentConfig.from_dict(v3) == table3_config()
+
+
+@pytest.mark.parametrize("key", sorted(OTHER_VALUES))
+def test_config_rejects_other_study_constant(key, tmp_path, capsys):
+    for version in (3, 4):
+        cfg = {**table3_config().to_dict(), key: OTHER_VALUES[key],
+               "schema_version": version}
+        with pytest.raises(ConfigurationError, match=re.escape(
+                f"{key} is fixed at {STUDY_KEYS[key]!r}, got {OTHER_VALUES[key]!r}")):
+            ExperimentConfig.from_dict(cfg)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--config", str(path)])
+    assert exc.value.code == 2
+    assert f"{key} is fixed at" in capsys.readouterr().err
+
+
+def test_cli_dump_config_holds_no_study_constant(tmp_path):
+    path = tmp_path / "cfg.json"
+    assert main(["sweep", "--preset", "quantization", "--trials", "3",
+                 "--dump-config", str(path)]) == 0
+    raw = json.loads(path.read_text())
+    assert not set(raw) & set(STUDY_KEYS)
+    assert ExperimentConfig.load(path) == table4_config(n_trials=3)
 
 
 def test_trial_seed_stability():
@@ -144,6 +182,21 @@ def test_cli_sweep_rejects_removed_lasso_flags(flag, capsys):
     assert flag in capsys.readouterr().err
 
 
+def test_cli_sweep_rejects_removed_guard_flag(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--guard", "0.1"])
+    assert exc.value.code == 2
+    assert "--guard" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["demo2d", "quantize-bench"])
+def test_cli_json_only_commands_reject_format(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--format", "csv"])
+    assert exc.value.code == 2
+    assert "--format" in capsys.readouterr().err
+
+
 def test_hod_sweep_rates_pinned():
     # HOD needs OF >= 6 on the 8-channel burst study, for both lattices
     cfg = ExperimentConfig(algorithm="hod", snr_db_list=(20, 30, None),
@@ -224,7 +277,13 @@ def test_shared_draws_leave_rows_unchanged(monkeypatch):
 
 def test_failed_draws_stay_cell_errors(monkeypatch):
     import latfold.experiments as experiments
-    bad_lam = run_sweep(_tiny_config(lam=-1.0))
+
+    def bad_lattice(family, n, lam):
+        raise ConfigurationError("inradius must be positive, got -1.0")
+
+    with monkeypatch.context() as m:
+        m.setattr(experiments, "make_lattice", bad_lattice)
+        bad_lam = run_sweep(_tiny_config())
     assert [c.error for c in bad_lam.cells] == \
         ["ConfigurationError: inradius must be positive, got -1.0"] * 2
     original = experiments.draw_margin_trial
@@ -272,7 +331,7 @@ def test_emit_empty_sweep_header_only():
 def test_emit_json_and_text_forms():
     result = run_sweep(_tiny_config())
     payload = json.loads(emit_tables(result, fmt="json"))
-    assert payload["config"]["schema_version"] == 3
+    assert payload["config"]["schema_version"] == 4
     assert len(payload["cells"]) == 2
     text = emit_tables(result, fmt="text")
     assert "architecture" in text.splitlines()[0]
