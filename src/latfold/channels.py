@@ -34,12 +34,12 @@ def fold_signal(f: np.ndarray, lattice: ScaledLattice):
     return residue, offsets
 
 
-def add_noise(y: np.ndarray, snr_db: float, seed, law: str = "gaussian") -> np.ndarray:
-    """Additive noise at the prescribed SNR relative to this record's power.
+def add_noise(y: np.ndarray, snr_db: float, seed) -> np.ndarray:
+    """Additive Gaussian noise at the prescribed SNR relative to this record's power.
 
     Per-coordinate noise variance equals ``P_y * 10^(-snr/10)`` with ``P_y``
     the empirical mean of ``|y[k]|^2 / n`` over the record. ``snr_db=inf``
-    returns ``y`` unchanged. The uniform law matches the Gaussian variance.
+    returns ``y`` unchanged.
     """
     _check_snr(snr_db)
     _check_finite(y, "channel input")
@@ -47,15 +47,7 @@ def add_noise(y: np.ndarray, snr_db: float, seed, law: str = "gaussian") -> np.n
         return y
     rng = np.random.default_rng(seed)
     var = float((y**2).sum() / y.size) * 10.0 ** (-snr_db / 10.0)
-    sigma = math.sqrt(var)
-    if law == "gaussian":
-        noise = sigma * rng.standard_normal(y.shape)
-    elif law == "uniform":
-        a = sigma * math.sqrt(3.0)
-        noise = rng.uniform(-a, a, y.shape)
-    else:
-        raise ValueError(f"unknown noise law {law!r}")
-    return y + noise
+    return y + math.sqrt(var) * rng.standard_normal(y.shape)
 
 
 def scalar_quantize(y: np.ndarray, bits: float, lam: float) -> np.ndarray:

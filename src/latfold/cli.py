@@ -5,9 +5,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
-from .experiments import (ALGORITHMS, ExperimentConfig, _check_config, emit_tables,
+from .experiments import (ALGORITHMS, ExperimentConfig, emit_tables,
                           emit_trajectory_demo, quantize_bench, run_sweep,
                           table3_config, table4_config)
 from .lattices import ConfigurationError
@@ -87,14 +88,10 @@ def main(argv=None) -> int:
             cfg = table4_config(master_seed=args.seed)
         else:
             cfg = table3_config(master_seed=args.seed)
-        if args.trials is not None:
-            cfg.n_trials = args.trials
-        if args.algorithm is not None:
-            cfg.algorithm = args.algorithm
-        if args.order is not None:
-            cfg.hod_order = args.order
+        overrides = {"n_trials": args.trials, "algorithm": args.algorithm,
+                     "hod_order": args.order}
         try:
-            _check_config(cfg)
+            cfg = replace(cfg, **{k: v for k, v in overrides.items() if v is not None})
         except ConfigurationError as exc:
             parser.error(str(exc))
         if args.dump_config:

@@ -62,6 +62,7 @@ ARCHITECTURES = {
 }
 
 ALGORITHMS = ("b2r2", "hod")
+_LIST_KEYS = ("of_list", "snr_db_list", "bits_list", "architectures")    # JSON lists
 
 
 class DemoRecoveryError(RuntimeError):
@@ -127,9 +128,17 @@ def draw_margin_trial(seed_seq: np.random.SeedSequence, lattice: ScaledLattice,
 # configuration
 
 
-@dataclass
+def _is_integer(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+@dataclass(frozen=True)
 class ExperimentConfig:
-    """Declarative sweep description; serializes to versioned JSON."""
+    """Declarative sweep description; serializes to versioned JSON.
+
+    Immutable, and checked however it is built (``dataclasses.replace`` too):
+    a config no cell can run raises ConfigurationError. Lists become tuples.
+    """
 
     # the study ACTIVE_SCHEDULE is calibrated for: constants, not config keys
     n_channels: ClassVar[int] = 8
@@ -150,15 +159,44 @@ class ExperimentConfig:
     n_trials: int = 50
     master_seed: int = 0
 
+    def __post_init__(self):
+        for key in _LIST_KEYS:
+            values = getattr(self, key)
+            if not isinstance(values, (list, tuple)):
+                raise ConfigurationError(f"{key} must be a list, got {values!r}")
+            object.__setattr__(self, key, tuple(values))
+        for name, values, known in (("oversampling factor", self.of_list, ACTIVE_SCHEDULE),
+                                    ("architecture", self.architectures, ARCHITECTURES),
+                                    ("algorithm", (self.algorithm,), ALGORITHMS)):
+            known = sorted(known)              # a list: a value read from JSON may be unhashable
+            bad = [v for v in values if v not in known]
+            if bad:
+                raise ConfigurationError(f"unknown {name} {bad[0]!r}, known: {known}")
+        for key in ("n_trials", "master_seed"):
+            if not _is_integer(getattr(self, key)):
+                raise ConfigurationError(f"{key} must be an integer, got {getattr(self, key)!r}")
+        if self.n_trials < 1:
+            raise ConfigurationError(f"n_trials must be >= 1, got {self.n_trials!r}")
+        if not (_is_integer(self.hod_order) and self.hod_order >= 1):
+            raise ConfigurationError(f"hod_order must be an integer >= 1, got {self.hod_order!r}")
+        for check, levels in ((_check_snr, self.snr_db_list), (_check_bits, self.bits_list)):
+            for level in [v for v in levels if v is not None]:
+                try:
+                    check(level)
+                except (TypeError, ValueError) as exc:
+                    raise ConfigurationError(str(exc)) from None
+
     def to_dict(self) -> dict:
         d = asdict(self)
         d["schema_version"] = SCHEMA_VERSION
-        for key in ("of_list", "snr_db_list", "bits_list", "architectures"):
+        for key in _LIST_KEYS:
             d[key] = list(d[key])
         return d
 
     @classmethod
-    def from_dict(cls, d: dict) -> "ExperimentConfig":
+    def from_dict(cls, d: Mapping) -> "ExperimentConfig":
+        if not isinstance(d, Mapping):
+            raise ConfigurationError(f"a config must be a JSON object, got {type(d).__name__}")
         d = dict(d)
         version = d.pop("schema_version", SCHEMA_VERSION)
         try:
@@ -175,9 +213,6 @@ class ExperimentConfig:
         unknown = sorted(set(d) - keys)
         if unknown:
             raise ConfigurationError(f"unknown config keys {unknown}")
-        for key in ("of_list", "snr_db_list", "bits_list", "architectures"):
-            if key in d and d[key] is not None:
-                d[key] = tuple(d[key])
         return cls(**d)
 
     def save(self, path) -> None:
@@ -185,7 +220,10 @@ class ExperimentConfig:
 
     @classmethod
     def load(cls, path) -> "ExperimentConfig":
-        return cls.from_dict(json.loads(Path(path).read_text()))
+        try:
+            return cls.from_dict(json.loads(Path(path).read_text()))
+        except json.JSONDecodeError as exc:
+            raise ConfigurationError(f"not valid JSON: {exc}") from None
 
 
 def table3_config(n_trials: int = 50, master_seed: int = 0) -> ExperimentConfig:
@@ -261,11 +299,6 @@ def _geometry(cfg: ExperimentConfig, of):
     return fs, int(round(fs * cfg.duration)), m_max
 
 
-def fold_lattice(cfg: ExperimentConfig, family: str) -> ScaledLattice:
-    """The sweep's folding lattice of one family."""
-    return make_lattice(family, cfg.n_channels, cfg.lam)
-
-
 def draw_folded(cfg: ExperimentConfig, of, lattice: ScaledLattice, sig_seed):
     """One trial's signal folded with ``lattice``: read-only (samples, offsets)."""
     _, K, m_max = _geometry(cfg, of)
@@ -302,10 +335,8 @@ def run_trial(cfg: ExperimentConfig, of, kind: str, level, arch: str,
     if cfg.algorithm == "b2r2":
         result = b2r2_recover(y, lattice, oob, K - solver_act,
                               cfg.dr_factor * cfg.lam + lattice.d_min)
-    elif cfg.algorithm == "hod":
+    else:                                  # "hod"
         result = hod_recover(y, lattice, cfg.hod_order)
-    else:
-        raise ConfigurationError(f"unknown algorithm {cfg.algorithm!r}")
 
     mse = float(((y - clean) ** 2).sum() / clean.size)
     return check_recovery(result.p_hat, p_true, lattice) == 0, mse
@@ -325,7 +356,7 @@ def _shared_draws(cfg: ExperimentConfig, of, kind: str, level) -> Mapping:
     for family in dict.fromkeys(ARCHITECTURES[a]["fold"] for a in cfg.architectures):
         t = 0
         try:
-            lattice = fold_lattice(cfg, family)
+            lattice = make_lattice(family, cfg.n_channels, cfg.lam)
             for t in range(cfg.n_trials):
                 draws[family, t] = lattice, draw_folded(
                     cfg, of, lattice, trial_seed(cfg.master_seed, of, kind, level, t))
@@ -361,37 +392,15 @@ def _run_cell_trials(cfg: ExperimentConfig, of, kind: str, level, arch: str,
         wall_time=time.perf_counter() - t0, error=error)
 
 
-def _check_config(cfg: ExperimentConfig) -> None:
-    for name, values, known in (("oversampling factor", cfg.of_list, ACTIVE_SCHEDULE),
-                                ("architecture", cfg.architectures, ARCHITECTURES),
-                                ("algorithm", (cfg.algorithm,), ALGORITHMS)):
-        bad = [v for v in values if v not in known]
-        if bad:
-            raise ConfigurationError(f"unknown {name} {bad[0]!r}, known: {sorted(known)}")
-    if cfg.n_trials < 1:
-        raise ConfigurationError(f"n_trials must be >= 1, got {cfg.n_trials!r}")
-    order = cfg.hod_order
-    if cfg.algorithm == "hod" and not (isinstance(order, numbers.Integral)
-                                       and not isinstance(order, bool) and order >= 1):
-        raise ConfigurationError(f"hod_order must be an integer >= 1, got {order!r}")
-    for check, levels in ((_check_snr, cfg.snr_db_list), (_check_bits, cfg.bits_list)):
-        for level in [v for v in levels if v is not None]:
-            try:
-                check(level)
-            except (TypeError, ValueError) as exc:
-                raise ConfigurationError(str(exc)) from None
-
-
 def run_sweep(cfg: ExperimentConfig) -> ExperimentResult:
     """Run every (OF, level, architecture) cell of the sweep, in grid order.
 
     Per-trial seeds hash the cell coordinates and the trial index, so adding
     grid cells never perturbs existing ones. The architectures of one
     (OF, level) group share each trial's draw and fold (``_shared_draws``).
-    A config no cell can run raises ConfigurationError before the first
-    cell.
+    The config checked itself when it was built; a trial that raises
+    fails only its own cell.
     """
-    _check_config(cfg)
     levels = [("snr", s) for s in cfg.snr_db_list] + \
              [("bits", b) for b in cfg.bits_list]
     cells = []

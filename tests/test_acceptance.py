@@ -17,7 +17,7 @@ from latfold import (A2, DN, E8, ZN, ExperimentConfig, SignalConfig,
                      mse_ratio, nearest_point, relevant_vectors,
                      sample_uniform_cell, scalar_quantize)
 from latfold.experiments import (ARCHITECTURES, draw_folded,
-                                 emit_trajectory_demo, fold_lattice, run_trial)
+                                 emit_trajectory_demo, run_trial)
 from latfold.moments import G_CUBIC
 from oracles import closest_point
 
@@ -142,7 +142,7 @@ def _run_cell(arch, of, n_trials, kind="clean", level=None, seed0=0):
     [seed0 + 5, of, t] for the noise.
     """
     cfg = ExperimentConfig()
-    lattice = fold_lattice(cfg, ARCHITECTURES[arch]["fold"])
+    lattice = make_lattice(ARCHITECTURES[arch]["fold"], cfg.n_channels, cfg.lam)
     mses = {}
     for t in range(n_trials):
         drawn = draw_folded(cfg, of, lattice, np.random.SeedSequence([seed0, of, t]))

@@ -29,7 +29,7 @@ PUBLIC_API = [
 # lattice and the solver settings are plain arguments.
 PIPELINE_SIGNATURES = {
     "fold_signal": ["f", "lattice"],
-    "add_noise": ["y", "snr_db", "seed", "law"],
+    "add_noise": ["y", "snr_db", "seed"],
     "scalar_quantize": ["y", "bits", "lam"],
     "lattice_quantize": ["y", "lattice", "bits"],
     "hod_recover": ["y", "lattice", "order"],

@@ -26,14 +26,6 @@ def test_noise_hits_target_snr():
     assert snr == pytest.approx(20.0, abs=0.1)
 
 
-def test_uniform_noise_law_matches_variance():
-    y, _ = _cell_samples(ZN, 4, 1.0, 250000)
-    noise = add_noise(y, 15.0, seed=2, law="uniform") - y
-    target = (y**2).sum() / y.size * 10 ** (-1.5)
-    assert (noise**2).mean() == pytest.approx(target, rel=0.01)
-    assert np.abs(noise).max() <= math.sqrt(3 * target) * (1 + 1e-12)
-
-
 def test_noise_power_tracks_folded_power():
     # at equal inradius and SNR the absolute noise power follows the
     # folded power, whose cube/E8 ratio is the second-moment ratio

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import re
@@ -158,7 +159,7 @@ def test_sweep_rejects_bad_hod_order_up_front(order, monkeypatch):
 
 def test_cli_sweep_reports_bad_config(tmp_path, capsys):
     bad_of = tmp_path / "of.json"
-    _tiny_config(of_list=(3,)).save(bad_of)
+    bad_of.write_text(json.dumps({**_tiny_config().to_dict(), "of_list": [3]}))
     bad_key = tmp_path / "key.json"
     bad_key.write_text(json.dumps({"schema_version": 2, "nope": 1}))
     dumped = tmp_path / "dumped.json"
@@ -172,6 +173,70 @@ def test_cli_sweep_reports_bad_config(tmp_path, capsys):
         assert exc.value.code == 2
         assert named in capsys.readouterr().err
     assert not dumped.exists()
+
+
+def test_config_is_immutable():
+    cfg = table3_config()
+    for key, value in (("guard", 0.2), ("n_trials", 3)):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(cfg, key, value)
+    assert (cfg.guard, cfg.n_trials) == (0.04, 50)
+    assert "guard" not in cfg.to_dict()
+    with pytest.raises(ConfigurationError, match=re.escape("n_trials must be >= 1, got 0")):
+        dataclasses.replace(cfg, n_trials=0)
+
+
+def test_config_lists_and_tuples_are_one_config(tmp_path):
+    lists = ExperimentConfig(of_list=[6], snr_db_list=[25, None], bits_list=[],
+                             architectures=["e8"])
+    tuples = ExperimentConfig(of_list=(6,), snr_db_list=(25, None), bits_list=(),
+                              architectures=("e8",))
+    assert lists == tuples and hash(lists) == hash(tuples)
+    path = tmp_path / "cfg.json"
+    lists.save(path)
+    assert ExperimentConfig.load(path) == tuples
+
+
+@pytest.mark.parametrize("key,value,named", [
+    ("n_trials", "3", "n_trials must be an integer, got '3'"),
+    ("n_trials", True, "n_trials must be an integer, got True"),
+    ("master_seed", "x", "master_seed must be an integer, got 'x'"),
+    ("of_list", 6, "of_list must be a list, got 6"),
+])
+def test_config_rejects_bad_type_up_front(key, value, named, tmp_path, capsys, monkeypatch):
+    import latfold.experiments as experiments
+    monkeypatch.setattr(experiments, "_run_cell_trials",
+                        lambda *a: pytest.fail("a cell ran before the config check"))
+    raw = {**_tiny_config().to_dict(), key: value}
+    for build in (lambda: ExperimentConfig.from_dict(raw),
+                  lambda: dataclasses.replace(_tiny_config(), **{key: value})):
+        with pytest.raises(ConfigurationError, match=re.escape(named)):
+            build()
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(raw))
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--config", str(path)])
+    assert exc.value.code == 2
+    assert f"{path}: {named}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text,named", [
+    ("[]", "a config must be a JSON object, got list"),
+    ('"abc"', "a config must be a JSON object, got str"),
+    ("5", "a config must be a JSON object, got int"),
+    ('{"n_trials": 3', "not valid JSON"),
+])
+def test_cli_sweep_rejects_config_file_not_an_object(text, named, tmp_path, capsys,
+                                                     monkeypatch):
+    import latfold.experiments as experiments
+    monkeypatch.setattr(experiments, "_run_cell_trials",
+                        lambda *a: pytest.fail("a cell ran before the config check"))
+    path = tmp_path / "cfg.json"
+    path.write_text(text)
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--config", str(path)])
+    assert exc.value.code == 2
+    assert f"{path}: {named}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("flag", ["--mu", "--max-iters"])
