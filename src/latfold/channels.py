@@ -16,13 +16,13 @@ from .lattices import ScaledLattice, _check_finite, fold, nearest_point
 
 
 def _check_bits(bits) -> None:
-    if not (bits == math.inf or (math.isfinite(bits) and bits == int(bits)
-                                 and 1 <= bits <= 24)):
+    if isinstance(bits, (bool, np.bool_)) or not (bits == math.inf or (
+            math.isfinite(bits) and bits == int(bits) and 1 <= bits <= 24)):
         raise ValueError(f"bits must be an integer in 1..24 or inf, got {bits!r}")
 
 
 def _check_snr(snr_db) -> None:
-    if not snr_db > 0:
+    if isinstance(snr_db, (bool, np.bool_)) or not snr_db > 0:
         raise ValueError(f"snr_db must be positive (or inf), got {snr_db!r}")
 
 

@@ -199,11 +199,9 @@ class ExperimentConfig:
             raise ConfigurationError(f"a config must be a JSON object, got {type(d).__name__}")
         d = dict(d)
         version = d.pop("schema_version", SCHEMA_VERSION)
-        try:
-            dropped = _DROPPED_KEYS[version]
-        except (KeyError, TypeError):
-            raise ConfigurationError(f"unsupported config schema {version}") from None
-        for key in dropped:
+        if not (_is_integer(version) and version in _DROPPED_KEYS):   # True == 1 is no schema
+            raise ConfigurationError(f"unsupported config schema {version!r}")
+        for key in _DROPPED_KEYS[version]:
             d.pop(key, None)
         keys = {f.name for f in fields(cls)}
         for key in [k for k in cls.__annotations__ if k in d and k not in keys]:
@@ -224,6 +222,8 @@ class ExperimentConfig:
             return cls.from_dict(json.loads(Path(path).read_text()))
         except json.JSONDecodeError as exc:
             raise ConfigurationError(f"not valid JSON: {exc}") from None
+        except OSError as exc:
+            raise ConfigurationError(f"cannot read {path}: {exc.strerror}") from None
 
 
 def table3_config(n_trials: int = 50, master_seed: int = 0) -> ExperimentConfig:

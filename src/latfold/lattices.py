@@ -8,10 +8,14 @@ distance ``2*lam``):
 * ``"dn"``  -- checkerboard lattice (even coordinate sum), ``n >= 2``
 * ``"e8"``  -- the 8-dimensional even unimodular lattice
 
-Each family is a union of cosets of a scaled ``Z^n`` or ``D_n`` (Conway &
-Sloane, IEEE Trans. IT 28(2), 1982), and one exact, vectorized decoder
-rounds into every coset and keeps the nearest candidate, for a single
-vector ``(n,)`` or a batch ``(m, n)``.
+Each family is one record of ``_SPECS``: a union of cosets of a scaled Z^n
+or D_n (Conway & Sloane, IEEE Trans. IT 28(2), 1982), its generator matrix
+in the unit coordinates of those cosets, its scale, cell volume, covering
+radius and allowed dimensions. One exact, vectorized decoder rounds into
+every coset and keeps the nearest candidate, for a single vector ``(n,)``
+or a batch ``(m, n)``. The Voronoi-relevant vectors (the facet normals of
+the cell) are derived from the generator matrix and that decoder alone,
+for any family up to ``n = 10``.
 """
 
 from __future__ import annotations
@@ -19,7 +23,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
-from itertools import combinations, product
 from typing import Callable
 
 import numpy as np
@@ -28,8 +31,6 @@ ZN = "zn"
 A2 = "a2"
 DN = "dn"
 E8 = "e8"
-
-FAMILIES = (ZN, A2, DN, E8)
 
 
 class ConfigurationError(ValueError):
@@ -59,7 +60,7 @@ class ScaledLattice:
     distance (= ``2*lam``) and ``volume`` the fundamental cell volume
     ``|det basis|``. ``scale`` maps the family's unit coset coordinates to
     signal units: one factor for every axis, or a read-only per-axis array
-    where the axes differ (a2).
+    where the axes differ.
     """
 
     family: str
@@ -77,78 +78,8 @@ class ScaledLattice:
 
     @property
     def covering_radius(self) -> float:
-        """Largest distance from any point to its nearest lattice point.
-
-        Attained at the deep holes (Conway & Sloane, SPLAG, ch. 2 and 4):
-        ``lam*(1, ..., 1)`` for Z^n, a hexagon vertex for a2,
-        ``scale*(1, 0, ..., 0)`` and ``scale*(1/2, ..., 1/2)`` for D_n, and
-        ``scale*(1, 0^7)`` for E8.
-        """
-        if self.family == ZN:
-            return self.lam * math.sqrt(self.n)
-        if self.family == A2:
-            return 2.0 * self.lam / math.sqrt(3.0)
-        if self.family == DN:
-            return self.scale * max(1.0, math.sqrt(self.n) / 2.0)
-        return self.scale                                   # e8
-
-
-def _unit_dn_basis(n: int) -> np.ndarray:
-    # columns: e1+e2, then e_{i-1} - e_i; |det| = 2
-    B = np.zeros((n, n))
-    B[0, 0] = B[1, 0] = 1.0
-    for i in range(1, n):
-        B[i - 1, i] = 1.0
-        B[i, i] = -1.0
-    return B
-
-
-def _unit_e8_basis() -> np.ndarray:
-    # even-coordinate construction: D8 generators plus the half vector
-    B = np.zeros((8, 8))
-    B[0, 0] = 2.0
-    for i in range(1, 7):
-        B[i - 1, i] = -1.0
-        B[i, i] = 1.0
-    B[:, 7] = 0.5
-    return B
-
-
-def make_lattice(family: str, n: int, lam: float) -> ScaledLattice:
-    """Build a ScaledLattice with inradius ``lam`` (so ``d_min = 2*lam``)."""
-    if lam <= 0:
-        raise ConfigurationError(f"inradius must be positive, got {lam}")
-    lam = float(lam)
-    if family == ZN:
-        if n < 1:
-            raise ConfigurationError("zn requires n >= 1")
-        scale = 2.0 * lam
-        basis = scale * np.eye(n)
-        volume = scale**n
-    elif family == A2:
-        if n != 2:
-            raise ConfigurationError("a2 requires n = 2")
-        basis = 2.0 * lam * np.array([[1.0, 0.5], [0.0, np.sqrt(3.0) / 2.0]])
-        volume = 2.0 * np.sqrt(3.0) * lam * lam
-        scale = 2.0 * lam * np.array([1.0, np.sqrt(3.0)])   # 2*lam*(Z x sqrt(3)Z)
-        scale.setflags(write=False)
-    elif family == DN:
-        if n < 2:
-            raise ConfigurationError("dn requires n >= 2")
-        scale = lam * np.sqrt(2.0)
-        basis = scale * _unit_dn_basis(n)
-        volume = 2.0 * scale**n
-    elif family == E8:
-        if n != 8:
-            raise ConfigurationError("e8 requires n = 8")
-        scale = lam * np.sqrt(2.0)
-        basis = scale * _unit_e8_basis()
-        volume = scale**8
-    else:
-        raise ConfigurationError(f"unknown lattice family {family!r}")
-    return ScaledLattice(family=family, n=n, lam=lam, basis=basis,
-                         d_min=2.0 * lam, volume=float(volume), scale=scale,
-                         basis_inv=np.linalg.inv(basis))
+        """Largest distance from any point to its nearest lattice point."""
+        return _SPECS[self.family].covering(self.lam, self.n)
 
 
 def _round_half_toward_zero(u: np.ndarray, half=0.5) -> np.ndarray:
@@ -176,17 +107,25 @@ def _q_dn_unit(u: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class _CosetCode:
-    """A lattice family as a union of cosets of a unit Z^n or D_n.
+class _Family:
+    """A lattice family: a union of cosets of a unit Z^n or D_n, scaled.
 
     ``base`` decodes the unit lattice row-wise; the zero coset comes first,
     then one coset per row of ``shifts`` (unit coordinates). ``weights``
     scale each axis's squared distance (None: all alike). With ``tie_tol``
     None exact ties keep the earlier coset; else distances within
     ``tie_tol`` are ties and go to the smaller norm, in ``base`` as well.
+    ``basis(n)`` generates the family in unit coordinates with cell volume
+    ``volume``; ``lam * scale`` maps them to signal units, per axis if an
+    array. ``covering(lam, n)`` is the covering radius; ``dims`` bounds n.
     """
 
     base: Callable[[np.ndarray], np.ndarray]
+    basis: Callable[[int], np.ndarray]
+    volume: float
+    scale: float | np.ndarray
+    covering: Callable[[float, int], float]
+    dims: tuple
     shifts: np.ndarray | None = None
     weights: np.ndarray | None = None
     tie_tol: float | None = None
@@ -199,39 +138,84 @@ class _CosetCode:
         return (v.reshape(-1, v.shape[-1]) @ self.weights).reshape(v.shape[:-1])
 
 
+def _unit_dn_basis(n: int) -> np.ndarray:
+    # columns: e1+e2, then e_{i-1} - e_i; |det| = 2
+    B = np.eye(n, k=1) - np.eye(n)
+    B[:2, 0] = 1.0
+    return B
+
+
+def _unit_e8_basis(n: int) -> np.ndarray:
+    # even-coordinate construction: D8 generators plus the half vector
+    B = np.eye(n) - np.eye(n, k=1)
+    B[0, 0] = 2.0
+    B[:, -1] = 0.5
+    return B
+
+
 # the hexagon: 2*lam*(Z x sqrt(3)Z) and its shift by (lam, sqrt(3)*lam). Ties:
 # distances within 1e-9 * lam^2 (1e-9 / 4 in units of (2*lam)^2), so rounding
 # sends fractions within tie / (2 * weight) of one half toward zero
 _A2_WEIGHTS = np.array([1.0, 3.0])
 _A2_TIE = 1e-9 / 4.0
 
-_CODES = {
-    ZN: _CosetCode(_round_half_toward_zero),
-    DN: _CosetCode(_q_dn_unit),
-    E8: _CosetCode(_q_dn_unit, shifts=np.full((1, 8), 0.5)),
-    A2: _CosetCode(partial(_round_half_toward_zero,
-                           half=0.5 + _A2_TIE / (2.0 * _A2_WEIGHTS)),
-                   shifts=np.full((1, 2), 0.5), weights=_A2_WEIGHTS, tie_tol=_A2_TIE),
+# covering radii are attained at the deep holes (SPLAG, ch. 2 and 4):
+# lam*(1, ..., 1) for Z^n, a hexagon vertex for a2, scale*(1, 0, ..., 0) and
+# scale*(1/2, ..., 1/2) for D_n, and scale*(1, 0^7) for E8
+_SPECS = {
+    ZN: _Family(_round_half_toward_zero, np.eye, 1.0, 2.0,
+                lambda lam, n: lam * math.sqrt(n), (1, math.inf)),
+    A2: _Family(partial(_round_half_toward_zero, half=0.5 + _A2_TIE / (2.0 * _A2_WEIGHTS)),
+                lambda n: np.array([[1.0, 0.5], [0.0, 0.5]]), 0.5,
+                np.array([2.0, 2.0 * math.sqrt(3.0)]),
+                lambda lam, n: 2.0 * lam / math.sqrt(3.0), (2, 2),
+                shifts=np.full((1, 2), 0.5), weights=_A2_WEIGHTS, tie_tol=_A2_TIE),
+    DN: _Family(_q_dn_unit, _unit_dn_basis, 2.0, math.sqrt(2.0),
+                lambda lam, n: lam * math.sqrt(2.0) * max(1.0, math.sqrt(n) / 2.0),
+                (2, math.inf)),
+    E8: _Family(_q_dn_unit, _unit_e8_basis, 1.0, math.sqrt(2.0),
+                lambda lam, n: lam * math.sqrt(2.0), (8, 8), shifts=np.full((1, 8), 0.5)),
 }
+FAMILIES = tuple(_SPECS)
 
 
-def _decode(x, code: _CosetCode, scale) -> np.ndarray:
-    """Nearest point of the code's coset union, scaled by ``scale``.
+def make_lattice(family: str, n: int, lam: float) -> ScaledLattice:
+    """Build a ScaledLattice with inradius ``lam`` (so ``d_min = 2*lam``)."""
+    if lam <= 0:
+        raise ConfigurationError(f"inradius must be positive, got {lam}")
+    if family not in FAMILIES:
+        raise ConfigurationError(f"unknown lattice family {family!r}")
+    spec = _SPECS[family]
+    if not spec.dims[0] <= n <= spec.dims[1]:
+        raise ConfigurationError(f"{family} requires {spec.dims[0]} <= n <= {spec.dims[1]}")
+    lam = float(lam)
+    scale = lam * spec.scale
+    if np.ndim(scale):
+        scale.setflags(write=False)
+    volume = spec.volume * (np.prod(scale) if np.ndim(scale) else scale**n)
+    basis = np.reshape(scale, (-1, 1)) * spec.basis(n)
+    return ScaledLattice(family=family, n=n, lam=lam, basis=basis,
+                         d_min=2.0 * lam, volume=float(volume), scale=scale,
+                         basis_inv=np.linalg.inv(basis))
+
+
+def _decode(x, spec: _Family, scale) -> np.ndarray:
+    """Nearest point of the family's coset union, scaled by ``scale``.
 
     Decodes the rows of ``x`` (the last axis) in every coset at once and
-    keeps the nearest candidate under the code's tie rule.
+    keeps the nearest candidate under the family's tie rule.
     """
     x = np.asarray(x, dtype=float)
     _check_finite(x, "nearest-point query")
     u = x.reshape(-1, x.shape[-1]) / scale
-    if code.shifts is None:
-        return (code.base(u) * scale).reshape(x.shape)
-    c = np.concatenate([u[None], u - code.shifts[:, None]])      # (cosets, m, n)
-    c = code.base(c.reshape(-1, u.shape[1])).reshape(c.shape)
-    c[1:] += code.shifts[:, None]
-    d = code.sq(u - c)                                           # (cosets, m)
-    if code.tie_tol is not None:
-        d = np.where(d <= d.min(axis=0) + code.tie_tol, code.sq(c), np.inf)
+    if spec.shifts is None:
+        return (spec.base(u) * scale).reshape(x.shape)
+    c = np.concatenate([u[None], u - spec.shifts[:, None]])      # (cosets, m, n)
+    c = spec.base(c.reshape(-1, u.shape[1])).reshape(c.shape)
+    c[1:] += spec.shifts[:, None]
+    d = spec.sq(u - c)                                           # (cosets, m)
+    if spec.tie_tol is not None:
+        d = np.where(d <= d.min(axis=0) + spec.tie_tol, spec.sq(c), np.inf)
     best, d_best = c[0], d[0]
     for ck, dk in zip(c[1:], d[1:]):          # only a strictly nearer coset wins
         np.copyto(best, ck, where=(dk < d_best)[:, None])
@@ -243,7 +227,7 @@ def nearest_point(x, lattice: ScaledLattice) -> np.ndarray:
     """Nearest lattice point of each row of ``x`` (rows of width ``lattice.n``)."""
     if np.shape(x)[-1:] != (lattice.n,):
         raise ConfigurationError(f"{lattice.family}({lattice.n}) got shape {np.shape(x)}")
-    return _decode(x, _CODES[lattice.family], lattice.scale)
+    return _decode(x, _SPECS[lattice.family], lattice.scale)
 
 
 def fold(x, lattice: ScaledLattice):
@@ -291,37 +275,37 @@ def snap_to_lattice(lattice: ScaledLattice, v) -> np.ndarray:
     return (lattice.basis @ k).T.reshape(v.shape)
 
 
-def _pm_pairs(n: int) -> np.ndarray:
-    """The 2n(n-1) vectors +-e_i +-e_j (i < j): the minimal vectors of D_n."""
-    vs = []
-    for i, j in combinations(range(n), 2):
-        for si, sj in product((1.0, -1.0), repeat=2):
-            v = np.zeros(n)
-            v[i], v[j] = si, sj
-            vs.append(v)
-    return np.array(vs)
+_MAX_FACET_DIM = 10     # the Gram test holds 4^n entries: 33 MB at n = 10
 
 
 def relevant_vectors(lattice: ScaledLattice) -> np.ndarray:
-    """Minimal vectors defining the Voronoi facets (comparator directions).
+    """Voronoi-relevant vectors: the facet normals (comparator directions).
 
-    Counts: 2n for the cubic lattice, 6 for the hexagon, 2n(n-1) for D_n
-    (24 for D4) and 240 for E8. The set is closed under negation and every
-    vector has norm ``2*lam``.
+    v is relevant when +-v are the only shortest vectors of v + 2*Lambda
+    (Conway & Sloane, SPLAG ch. 2). In unit coordinates the family's own
+    decoder gives one shortest vector ``c - 2*Q(c/2)`` of each of the
+    2^n - 1 nonzero classes ``c + 2*Lambda``. Of these and their negations,
+    v is kept unless another candidate r has ``<v, r> >= |r|^2``: a
+    relevant v has v/2 inside its facet, where every other such inequality
+    is strict, and a non-relevant one has v/2 on a lower-dimensional face,
+    where a relevant vector is tight. Both sides are exact in unit
+    coordinates. Counts: 2n for the cubic lattice, 6 for the hexagon,
+    2n(n-1) for D_n (24 for D4) and 240 for E8. The test costs O(4^n), so
+    n > 10 raises UnsupportedLatticeError.
     """
-    if lattice.family == ZN:
-        eye = lattice.scale * np.eye(lattice.n)
-        return np.vstack([eye, -eye])
-    if lattice.family == A2:
-        v1, v2 = lattice.basis.T
-        vs = np.array([v1, v2, v1 - v2])
-        return np.vstack([vs, -vs])
-    vs = _pm_pairs(lattice.n)
-    if lattice.family == E8:
-        halves = [signs for signs in product((0.5, -0.5), repeat=8)
-                  if sum(1 for t in signs if t < 0) % 2 == 0]
-        vs = np.vstack([vs, halves])
-    return lattice.scale * vs
+    n = lattice.n
+    if n > _MAX_FACET_DIM:
+        raise UnsupportedLatticeError(
+            f"relevant vectors are enumerated up to n = {_MAX_FACET_DIM}, got n = {n}")
+    spec = _SPECS[lattice.family]
+    k = (np.arange(1, 2**n)[:, None] >> np.arange(n)) & 1     # classes of Lambda/2Lambda
+    mid = 0.5 * (k @ spec.basis(n).T)
+    v = 2.0 * (mid - _decode(mid, spec, 1.0))
+    v = np.vstack([v, -v])
+    gram = (v if spec.weights is None else v * spec.weights) @ v.T
+    tight = gram >= np.diag(gram)[None, :]                    # <v_i, v_j> >= |v_j|^2
+    np.fill_diagonal(tight, False)
+    return v[~tight.any(axis=1)] * lattice.scale
 
 
 def fold_iterative(x, lattice: ScaledLattice, max_steps: int = 100000) -> np.ndarray:

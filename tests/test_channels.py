@@ -108,10 +108,10 @@ def test_matched_vs_scalar_ratio():
 
 def test_channel_input_validation():
     y, lat = _cell_samples(ZN, 2, 1.0, 10)
-    for snr_db in (-3.0, 0.0, -math.inf, math.nan):
+    for snr_db in (-3.0, 0.0, -math.inf, math.nan, True):
         with pytest.raises(ValueError):
             add_noise(y, snr_db, seed=0)
-    for bits in (25, 0, -math.inf, math.nan):
+    for bits in (25, 0, -math.inf, math.nan, True):
         with pytest.raises(ValueError):
             scalar_quantize(y, bits, 1.0)
         with pytest.raises(ValueError):

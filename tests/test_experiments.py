@@ -45,6 +45,8 @@ def test_config_reads_v1_dropping_tol():
     assert ExperimentConfig.from_dict(v2) == table3_config(n_trials=7)
     with pytest.raises(ConfigurationError, match="tol"):
         ExperimentConfig.from_dict({**v2, "tol": 1e-10})
+    with pytest.raises(ConfigurationError, match="schema True"):     # not schema 1
+        ExperimentConfig.from_dict({**v3, "schema_version": True, "tol": 1e-10})
     for key, value in lasso.items():
         with pytest.raises(ConfigurationError, match=key):
             ExperimentConfig.from_dict({**v3, key: value})
@@ -202,6 +204,8 @@ def test_config_lists_and_tuples_are_one_config(tmp_path):
     ("n_trials", True, "n_trials must be an integer, got True"),
     ("master_seed", "x", "master_seed must be an integer, got 'x'"),
     ("of_list", 6, "of_list must be a list, got 6"),
+    ("bits_list", [True], "bits must be an integer in 1..24 or inf, got True"),
+    ("snr_db_list", [True], "snr_db must be positive (or inf), got True"),
 ])
 def test_config_rejects_bad_type_up_front(key, value, named, tmp_path, capsys, monkeypatch):
     import latfold.experiments as experiments
@@ -237,6 +241,18 @@ def test_cli_sweep_rejects_config_file_not_an_object(text, named, tmp_path, caps
         main(["sweep", "--config", str(path)])
     assert exc.value.code == 2
     assert f"{path}: {named}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name,reason", [("missing.json", "No such file or directory"),
+                                         (".", "Is a directory")])
+def test_cli_sweep_rejects_unreadable_config_file(name, reason, tmp_path, capsys):
+    path = tmp_path / name
+    with pytest.raises(ConfigurationError, match=re.escape(f"cannot read {path}: {reason}")):
+        ExperimentConfig.load(path)
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--config", str(path)])
+    assert exc.value.code == 2
+    assert f"cannot read {path}: {reason}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("flag", ["--mu", "--max-iters"])

@@ -1,9 +1,11 @@
+from itertools import combinations, product
+
 import numpy as np
 import pytest
 
 from latfold import (A2, DN, E8, ZN, ConfigurationError, NonFiniteInputError,
-                     fold, fold_iterative, folds_to_zero, in_voronoi_cell,
-                     is_lattice_point, make_lattice, nearest_point,
+                     UnsupportedLatticeError, fold, fold_iterative, folds_to_zero,
+                     in_voronoi_cell, is_lattice_point, make_lattice, nearest_point,
                      relevant_vectors, voronoi_cell_polygon)
 from oracles import closest_point
 
@@ -164,7 +166,8 @@ def test_a2_brute_force_window():
 
 # ------------------------------------------------------------------- oracle
 
-FAMILY_DIMS = [(ZN, 2), (ZN, 5), (A2, 2), (DN, 3), (DN, 4), (DN, 6), (E8, 8)]
+FAMILY_DIMS = [(ZN, 1), (ZN, 2), (ZN, 5), (ZN, 8), (A2, 2), (DN, 2), (DN, 3), (DN, 4),
+               (DN, 6), (DN, 8), (E8, 8)]
 
 
 @pytest.mark.parametrize("family,n", FAMILY_DIMS)
@@ -375,6 +378,55 @@ def test_relevant_vectors_all_lattice_points():
         lat = make_lattice(fam, n, 1.0)
         for v in relevant_vectors(lat):
             assert is_lattice_point(lat, v)
+
+
+def _pm_pairs(n):
+    """The 2n(n-1) vectors +-e_i +-e_j (i < j): the minimal vectors of D_n."""
+    vs = []
+    for i, j in combinations(range(n), 2):
+        for si, sj in product((1.0, -1.0), repeat=2):
+            v = np.zeros(n)
+            v[i], v[j] = si, sj
+            vs.append(v)
+    return np.array(vs)
+
+
+def _literal_facets(lat):
+    """Each family's facet vectors, written out by hand (SPLAG ch. 4)."""
+    if lat.family == ZN:
+        eye = lat.scale * np.eye(lat.n)
+        return np.vstack([eye, -eye])
+    if lat.family == A2:
+        v1, v2 = lat.basis.T
+        vs = np.array([v1, v2, v1 - v2])
+        return np.vstack([vs, -vs])
+    vs = _pm_pairs(lat.n)
+    if lat.family == E8:                   # plus the half vectors with even signs
+        halves = [signs for signs in product((0.5, -0.5), repeat=8)
+                  if sum(1 for t in signs if t < 0) % 2 == 0]
+        vs = np.vstack([vs, halves])
+    return lat.scale * vs
+
+
+@pytest.mark.parametrize("lam", [1.0, 0.1, 0.37])
+def test_relevant_vectors_derived_equal_literal_sets(lam):
+    cases = ([(ZN, n) for n in range(1, 11)] + [(A2, 2)]
+             + [(DN, n) for n in range(2, 11)] + [(E8, 8)])
+    for family, n in cases:
+        lat = make_lattice(family, n, lam)
+        got = [tuple(v) for v in relevant_vectors(lat)]
+        want = [tuple(v) for v in _literal_facets(lat)]
+        assert len(set(got)) == len(got) == len(want)
+        assert set(got) == set(want), (family, n)          # exact, no tolerance
+
+
+def test_relevant_vectors_refuse_above_ten_dimensions():
+    lat = make_lattice(ZN, 11, 1.0)
+    for call in (lambda: relevant_vectors(lat),
+                 lambda: fold_iterative(np.zeros(11), lat),
+                 lambda: in_voronoi_cell(lat, np.zeros(11))):
+        with pytest.raises(UnsupportedLatticeError, match="n = 11"):
+            call()
 
 
 @pytest.mark.parametrize("n", [3, 6])
