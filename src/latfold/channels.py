@@ -9,21 +9,22 @@ quantizer, and a matched lattice quantizer on the scaled lattice
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 
-from .lattices import ScaledLattice, _check_finite, fold, nearest_point
+from .lattices import ConfigurationError, ScaledLattice, _check_finite, fold, nearest_point
 
 
 def _check_bits(bits) -> None:
-    if isinstance(bits, (bool, np.bool_)) or not (bits == math.inf or (
-            math.isfinite(bits) and bits == int(bits) and 1 <= bits <= 24)):
-        raise ValueError(f"bits must be an integer in 1..24 or inf, got {bits!r}")
+    if isinstance(bits, bool) or not (isinstance(bits, numbers.Real) and (bits == math.inf or (
+            math.isfinite(bits) and bits == int(bits) and 1 <= bits <= 24))):
+        raise ConfigurationError(f"bits must be an integer in 1..24 or inf, got {bits!r}")
 
 
 def _check_snr(snr_db) -> None:
-    if isinstance(snr_db, (bool, np.bool_)) or not snr_db > 0:
-        raise ValueError(f"snr_db must be positive (or inf), got {snr_db!r}")
+    if isinstance(snr_db, bool) or not (isinstance(snr_db, numbers.Real) and snr_db > 0):
+        raise ConfigurationError(f"snr_db must be positive (or inf), got {snr_db!r}")
 
 
 def fold_signal(f: np.ndarray, lattice: ScaledLattice):

@@ -8,9 +8,8 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .experiments import (ALGORITHMS, ExperimentConfig, emit_tables,
-                          emit_trajectory_demo, quantize_bench, run_sweep,
-                          table3_config, table4_config)
+from .experiments import (ALGORITHMS, PRESETS, ExperimentConfig, emit_tables,
+                          emit_trajectory_demo, quantize_bench, run_sweep)
 from .lattices import ConfigurationError
 from .moments import format_report_csv, format_report_text, table1_report
 
@@ -26,6 +25,10 @@ def _write(out: str, path) -> None:
         Path(path).write_text(out)
     else:
         sys.stdout.write(out)
+
+
+def _int_list(text: str) -> tuple:
+    return tuple(int(b) for b in text.split(","))
 
 
 def main(argv=None) -> int:
@@ -44,10 +47,11 @@ def main(argv=None) -> int:
 
     p2 = sub.add_parser("sweep", help="Monte Carlo recovery-rate sweep")
     _add_common(p2)
+    p2.set_defaults(seed=None)          # unset: the base config's master_seed
     p2.add_argument("--format", choices=("csv", "json", "text"), default="text")
-    p2.add_argument("--config", type=str, default=None, help="JSON config file")
-    p2.add_argument("--preset", choices=("additive", "quantization"),
-                    default=None)
+    base = p2.add_mutually_exclusive_group()
+    base.add_argument("--config", type=str, default=None, help="JSON config file")
+    base.add_argument("--preset", choices=PRESETS, default=None, help="default: additive")
     p2.add_argument("--trials", type=int, default=None)
     p2.add_argument("--algorithm", choices=ALGORITHMS, default=None)
     p2.add_argument("--order", type=int, default=None, help="difference order for hod")
@@ -64,61 +68,48 @@ def main(argv=None) -> int:
     p4 = sub.add_parser("quantize-bench", help="matched/mismatched quantizer check")
     _add_common(p4)
     p4.add_argument("--samples", type=int, default=200000)
-    p4.add_argument("--bits", type=str, default="2,4,6")
+    p4.add_argument("--bits", type=_int_list, default="2,4,6")
 
     args = parser.parse_args(argv)
-
-    if args.command == "table1":
-        rows = table1_report(n_samples=args.samples, seed=args.seed,
-                             workers=args.workers)
-        if args.format == "json":
-            out = json.dumps(rows, indent=2, sort_keys=True) + "\n"
-        else:
-            out = (format_report_csv if args.format == "csv" else format_report_text)(rows)
-        _write(out, args.out)
-        return 0
-
-    if args.command == "sweep":
-        if args.config:
-            try:
-                cfg = ExperimentConfig.load(args.config)
-            except ConfigurationError as exc:
-                parser.error(f"{args.config}: {exc}")
-        elif args.preset == "quantization":
-            cfg = table4_config(master_seed=args.seed)
-        else:
-            cfg = table3_config(master_seed=args.seed)
-        overrides = {"n_trials": args.trials, "algorithm": args.algorithm,
-                     "hod_order": args.order}
-        try:
-            cfg = replace(cfg, **{k: v for k, v in overrides.items() if v is not None})
-        except ConfigurationError as exc:
-            parser.error(str(exc))
-        if args.dump_config:
-            cfg.save(args.dump_config)
+    try:                    # bad input of any command: exit 2, naming it
+        if args.command == "table1":
+            rows = table1_report(n_samples=args.samples, seed=args.seed,
+                                 workers=args.workers)
+            if args.format == "json":
+                out = json.dumps(rows, indent=2, sort_keys=True) + "\n"
+            else:
+                out = (format_report_csv if args.format == "csv" else format_report_text)(rows)
+            _write(out, args.out)
             return 0
-        result = run_sweep(cfg)
-        _write(emit_tables(result, fmt=args.format), args.out)
-        bad = [c for c in result.cells if c.error]
-        for c in bad:
-            print(f"cell error: OF={c.of:g} {c.level_kind}={c.level} "
-                  f"{c.architecture}: {c.error}", file=sys.stderr)
-        return 1 if bad and args.strict else 0
 
-    if args.command == "demo2d":
-        outdir = args.out or "demo2d_out"
-        summary = emit_trajectory_demo(outdir, seed=args.seed, lam=args.lam,
-                                       power_trials=args.power_trials)
-        sys.stdout.write(json.dumps(summary, indent=2, sort_keys=True) + "\n")
-        return 0
+        if args.command == "sweep":
+            cfg = (ExperimentConfig.load(args.config) if args.config
+                   else PRESETS[args.preset or "additive"]())
+            overrides = {"n_trials": args.trials, "algorithm": args.algorithm,
+                         "hod_order": args.order, "master_seed": args.seed}
+            cfg = replace(cfg, **{k: v for k, v in overrides.items() if v is not None})
+            if args.dump_config:
+                cfg.save(args.dump_config)
+                return 0
+            result = run_sweep(cfg)
+            _write(emit_tables(result, fmt=args.format), args.out)
+            bad = [c for c in result.cells if c.error]
+            for c in bad:
+                print(f"cell error: OF={c.of:g} {c.level_kind}={c.level} "
+                      f"{c.architecture}: {c.error}", file=sys.stderr)
+            return 1 if bad and args.strict else 0
 
-    if args.command == "quantize-bench":
-        bits = tuple(int(b) for b in args.bits.split(","))
-        report = quantize_bench(n_samples=args.samples, seed=args.seed, bits=bits)
+        if args.command == "demo2d":
+            summary = emit_trajectory_demo(args.out or "demo2d_out", seed=args.seed,
+                                           lam=args.lam, power_trials=args.power_trials)
+            sys.stdout.write(json.dumps(summary, indent=2, sort_keys=True) + "\n")
+            return 0
+
+        report = quantize_bench(n_samples=args.samples, seed=args.seed, bits=args.bits)
         _write(json.dumps(report, indent=2, sort_keys=True) + "\n", args.out)
         return 0
-
-    return 2
+    except ConfigurationError as exc:
+        parser.error(str(exc))
 
 
 if __name__ == "__main__":

@@ -14,7 +14,6 @@ from __future__ import annotations
 import functools
 import json
 import math
-import numbers
 import time
 import zlib
 from dataclasses import dataclass, asdict, fields, replace
@@ -27,8 +26,8 @@ from scipy.linalg import eigh
 
 from .channels import (_check_bits, _check_snr, add_noise, fold_signal,
                        lattice_quantize, scalar_quantize)
-from .lattices import (A2, E8, ZN, ConfigurationError, ScaledLattice, folds_to_zero,
-                       in_voronoi_cell, make_lattice, voronoi_cell_polygon)
+from .lattices import (A2, E8, ZN, ConfigurationError, ScaledLattice, _is_integer,
+                       folds_to_zero, in_voronoi_cell, make_lattice, voronoi_cell_polygon)
 from .moments import ESTIMATED_FAMILIES, sample_uniform_cell
 from .recovery import (b2r2_recover, build_oob_operator, check_recovery,
                        hod_recover, lasso_b2r2_recover)
@@ -96,17 +95,16 @@ def concentration_modes(K: int, m_max: int, margin: int) -> np.ndarray:
 
 
 def burst_signal(rng: np.random.Generator, n_ch: int, K: int, m_max: int,
-                 margin: int, gamma: float, lam: float,
-                 leak_amp: float = 0.06, min_modes: int = 2) -> np.ndarray:
+                 margin: int, gamma: float, lam: float, leak_amp: float) -> np.ndarray:
     """One draw from the burst ensemble (peak normalized to gamma*lam).
 
     Uses the concentrated modes whose margin amplitude is below
-    ``leak_amp`` (at least ``min_modes``); the caller is responsible for
-    the fold-free margin check, which depends on the folding lattice.
+    ``leak_amp`` (at least two); the caller is responsible for the
+    fold-free margin check, which depends on the folding lattice.
     """
     modes = concentration_modes(K, m_max, margin)
     lk = np.abs(modes[:margin]).max(axis=0)
-    n_modes = max(min_modes, int((lk <= leak_amp).sum()))
+    n_modes = max(2, int((lk <= leak_amp).sum()))
     coef = rng.standard_normal((n_modes, n_ch))
     f = modes[:, :n_modes] @ coef
     return f * (gamma * lam / np.abs(f).max())
@@ -114,10 +112,10 @@ def burst_signal(rng: np.random.Generator, n_ch: int, K: int, m_max: int,
 
 def draw_margin_trial(seed_seq: np.random.SeedSequence, lattice: ScaledLattice,
                       n_ch: int, K: int, m_max: int, margin: int,
-                      gamma: float, leak_amp: float, max_tries: int = 80):
-    """Draw burst signals until the margin folds to zero for this lattice."""
+                      gamma: float, leak_amp: float):
+    """Draw burst signals, at most 80, until the margin folds to zero for this lattice."""
     rng = np.random.default_rng(seed_seq)
-    for _ in range(max_tries):
+    for _ in range(80):
         f = burst_signal(rng, n_ch, K, m_max, margin, gamma, lattice.lam, leak_amp)
         if folds_to_zero(f[:margin], lattice):
             return f
@@ -126,10 +124,6 @@ def draw_margin_trial(seed_seq: np.random.SeedSequence, lattice: ScaledLattice,
 
 # ---------------------------------------------------------------------------
 # configuration
-
-
-def _is_integer(value) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -181,10 +175,7 @@ class ExperimentConfig:
             raise ConfigurationError(f"hod_order must be an integer >= 1, got {self.hod_order!r}")
         for check, levels in ((_check_snr, self.snr_db_list), (_check_bits, self.bits_list)):
             for level in [v for v in levels if v is not None]:
-                try:
-                    check(level)
-                except (TypeError, ValueError) as exc:
-                    raise ConfigurationError(str(exc)) from None
+                check(level)
 
     def to_dict(self) -> dict:
         d = asdict(self)
@@ -218,12 +209,15 @@ class ExperimentConfig:
 
     @classmethod
     def load(cls, path) -> "ExperimentConfig":
+        """Read a JSON config file; any failure is a ConfigurationError naming ``path``."""
         try:
-            return cls.from_dict(json.loads(Path(path).read_text()))
-        except json.JSONDecodeError as exc:
-            raise ConfigurationError(f"not valid JSON: {exc}") from None
+            return cls.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
         except OSError as exc:
             raise ConfigurationError(f"cannot read {path}: {exc.strerror}") from None
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise ConfigurationError(f"{path}: not valid JSON: {exc}") from None
+        except ConfigurationError as exc:
+            raise ConfigurationError(f"{path}: {exc}") from None
 
 
 def table3_config(n_trials: int = 50, master_seed: int = 0) -> ExperimentConfig:
@@ -239,6 +233,9 @@ def table4_config(n_trials: int = 50, master_seed: int = 0) -> ExperimentConfig:
                             bits_list=(2, 4, 6, 8, 10, None),
                             architectures=("sq+sqq", "e8+sqq", "e8+e8q"),
                             n_trials=n_trials, master_seed=master_seed)
+
+
+PRESETS = {"additive": table3_config, "quantization": table4_config}
 
 
 # ---------------------------------------------------------------------------
@@ -321,9 +318,9 @@ def run_trial(cfg: ExperimentConfig, of, kind: str, level, arch: str,
     band = m_max / cfg.duration
     _, solver_act, _ = ACTIVE_SCHEDULE[int(of)]
 
-    if kind == "snr" and level is not None:
+    if kind == "snr":
         y = add_noise(clean, float(level), noise_seed)
-    elif kind == "bits" and level is not None:
+    elif kind == "bits":
         if layout["quantizer"] == "scalar":
             y = scalar_quantize(clean, float(level), cfg.lam)
         elif layout["quantizer"] == "lattice":
@@ -468,11 +465,10 @@ def demo2d_config(seed: int = 0) -> SignalConfig:
                         duration=1.0, dr_factor=3.0, seed=seed, complex_pair=True)
 
 
-def _start_in_cell_signal(cfg: SignalConfig, lattice: ScaledLattice,
-                          max_tries: int = 500):
-    """Regenerate until the first sample folds to zero (demo anchor)."""
+def _start_in_cell_signal(cfg: SignalConfig, lattice: ScaledLattice):
+    """Regenerate, at most 500 times, until the first sample folds to zero (demo anchor)."""
     seed = cfg.seed
-    for _ in range(max_tries):
+    for _ in range(500):
         f, band = make_test_signal(replace(cfg, seed=seed), lattice.lam)
         if folds_to_zero(f[:1], lattice):
             return f, band
@@ -489,10 +485,11 @@ def emit_trajectory_demo(outdir, seed: int = 0, lam: float = 1.0,
     ratio over a fresh ensemble. Raises DemoRecoveryError if either
     geometry misses machine-precision reconstruction.
     """
+    # first, so that a bad lam or power_trials raises before any file is written
+    summary = {"power_ratio": demo_power_ratio(lam=lam, n_trials=power_trials, seed=seed)}
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     cfg = demo2d_config(seed)
-    summary = {}
     for name, family in (("square", ZN), ("hexagon", A2)):
         lattice = make_lattice(family, 2, lam)
         f, band = _start_in_cell_signal(cfg, lattice)
@@ -518,8 +515,6 @@ def emit_trajectory_demo(outdir, seed: int = 0, lam: float = 1.0,
         summary[name] = {"max_error": err, "peak": peak,
                          "iterations": result.iterations}
 
-    summary["power_ratio"] = demo_power_ratio(lam=lam, n_trials=power_trials,
-                                              seed=seed)
     (outdir / "demo2d_summary.json").write_text(
         json.dumps(summary, indent=2, sort_keys=True) + "\n")
     return summary
@@ -527,6 +522,8 @@ def emit_trajectory_demo(outdir, seed: int = 0, lam: float = 1.0,
 
 def demo_power_ratio(lam: float = 1.0, n_trials: int = 200, seed: int = 0) -> float:
     """Hexagon / square folded-power ratio over the 2D demo ensemble."""
+    if not (_is_integer(n_trials) and n_trials >= 1):
+        raise ConfigurationError(f"n_trials must be an integer >= 1, got {n_trials!r}")
     hexl = make_lattice(A2, 2, lam)
     sq = make_lattice(ZN, 2, lam)
     p_hex = p_sq = 0.0
@@ -553,6 +550,8 @@ def quantize_bench(n_samples: int = 200000, seed: int = 0,
     checks that a common scalar quantizer yields the same MSE on cube- and
     E8-folded data.
     """
+    for b in bits:
+        _check_bits(b)
     rng = np.random.default_rng(seed)
     report = {"matched": {}, "mismatched": {}}
     for name, family, n in ESTIMATED_FAMILIES:

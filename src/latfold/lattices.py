@@ -21,6 +21,7 @@ for any family up to ``n = 10``.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable
@@ -35,6 +36,10 @@ E8 = "e8"
 
 class ConfigurationError(ValueError):
     """Invalid lattice family / dimension / parameter combination."""
+
+
+def _is_integer(value) -> bool:       # a Python or NumPy integer, not a bool
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 class UnsupportedLatticeError(ValueError):
@@ -181,13 +186,14 @@ FAMILIES = tuple(_SPECS)
 
 def make_lattice(family: str, n: int, lam: float) -> ScaledLattice:
     """Build a ScaledLattice with inradius ``lam`` (so ``d_min = 2*lam``)."""
-    if lam <= 0:
-        raise ConfigurationError(f"inradius must be positive, got {lam}")
+    if not 0 < lam < math.inf:                          # NaN fails too
+        raise ConfigurationError(f"inradius must be positive and finite, got {lam}")
     if family not in FAMILIES:
         raise ConfigurationError(f"unknown lattice family {family!r}")
     spec = _SPECS[family]
-    if not spec.dims[0] <= n <= spec.dims[1]:
-        raise ConfigurationError(f"{family} requires {spec.dims[0]} <= n <= {spec.dims[1]}")
+    if not (_is_integer(n) and spec.dims[0] <= n <= spec.dims[1]):
+        raise ConfigurationError(
+            f"{family} requires an integer {spec.dims[0]} <= n <= {spec.dims[1]}, got {n!r}")
     lam = float(lam)
     scale = lam * spec.scale
     if np.ndim(scale):
@@ -262,10 +268,10 @@ def folds_to_zero(x, lattice: ScaledLattice) -> bool:
     return not (between.any() and nearest_point(x[between], lattice).any())
 
 
-def is_lattice_point(lattice: ScaledLattice, v, rtol: float = 1e-9) -> bool:
-    """Membership test: basis coordinates integral to relative tolerance."""
+def is_lattice_point(lattice: ScaledLattice, v) -> bool:
+    """Membership test: basis coordinates integral to relative tolerance 1e-9."""
     k = lattice.basis_inv @ np.atleast_2d(np.asarray(v, dtype=float)).T
-    return bool(np.all(np.abs(k - np.round(k)) <= rtol * np.maximum(1.0, np.abs(k))))
+    return bool(np.all(np.abs(k - np.round(k)) <= 1e-9 * np.maximum(1.0, np.abs(k))))
 
 
 def snap_to_lattice(lattice: ScaledLattice, v) -> np.ndarray:
@@ -308,13 +314,13 @@ def relevant_vectors(lattice: ScaledLattice) -> np.ndarray:
     return v[~tight.any(axis=1)] * lattice.scale
 
 
-def fold_iterative(x, lattice: ScaledLattice, max_steps: int = 100000) -> np.ndarray:
+def fold_iterative(x, lattice: ScaledLattice) -> np.ndarray:
     """Comparator-style fold: subtract a facet vector while one is crossed.
 
     Repeatedly finds a relevant vector ``p`` with ``<p, r> > |p|^2 / 2`` and
     updates ``r <- r - p``. Each correction strictly decreases ``|r|``, so
     the loop terminates with ``r`` in the closed Voronoi cell and
-    ``x - r`` in the lattice.
+    ``x - r`` in the lattice; RuntimeError if it has not after 100000 steps.
     """
     pv = relevant_vectors(lattice)
     half = 0.5 * (pv**2).sum(axis=1)
@@ -323,7 +329,7 @@ def fold_iterative(x, lattice: ScaledLattice, max_steps: int = 100000) -> np.nda
     single = x.ndim == 1
     r = np.atleast_2d(x).copy()
     active = np.arange(r.shape[0])
-    for _ in range(max_steps):
+    for _ in range(100000):
         viol = r[active] @ pv.T - half[None, :]
         worst = np.argmax(viol, axis=1)
         crossed = viol[np.arange(active.size), worst] > eps
@@ -359,9 +365,9 @@ def voronoi_cell_polygon(lattice: ScaledLattice) -> np.ndarray:
     return np.array(verts)
 
 
-def in_voronoi_cell(lattice: ScaledLattice, r, tol: float = 1e-9) -> bool:
-    """Closed-cell test via the facet inequalities."""
+def in_voronoi_cell(lattice: ScaledLattice, r) -> bool:
+    """Closed-cell test via the facet inequalities, to absolute tolerance 1e-9."""
     pv = relevant_vectors(lattice)
     half = 0.5 * (pv**2).sum(axis=1)
     r = np.atleast_2d(np.asarray(r, dtype=float))
-    return bool(np.all(r @ pv.T <= half[None, :] + tol))
+    return bool(np.all(r @ pv.T <= half[None, :] + 1e-9))

@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .lattices import ScaledLattice, ConfigurationError, fold, make_lattice, ZN, A2, DN, E8
+from .lattices import (A2, DN, E8, ZN, ConfigurationError, ScaledLattice, _is_integer, fold,
+                       make_lattice)
 
 _CHUNK = 1 << 18
 # rows drawn, folded and squared at a time within a chunk: it bounds every
@@ -36,18 +38,17 @@ class SecondMomentEstimate:
     std_err: float
 
 
-def sample_uniform_cell(lattice: ScaledLattice, rng: np.random.Generator, size=None):
-    """Exactly uniform samples on the Voronoi cell.
+def sample_uniform_cell(lattice: ScaledLattice, rng: np.random.Generator, size: int):
+    """``(size, n)`` exactly uniform samples on the Voronoi cell.
 
     Draws uniformly on the fundamental parallelepiped and folds; the fold is
     a volume-preserving bijection modulo the lattice, so no rejection is
-    needed. Returns ``(n,)`` when ``size`` is None, else ``(size, n)``.
+    needed.
     """
-    m = 1 if size is None else int(size)
-    u = rng.random((m, lattice.n))
+    u = rng.random((int(size), lattice.n))
     w = u @ lattice.basis.T
     r, _ = fold(w, lattice)
-    return r[0] if size is None else r
+    return r
 
 
 def estimate_second_moment(lattice: ScaledLattice, n_samples: int, seed,
@@ -58,12 +59,15 @@ def estimate_second_moment(lattice: ScaledLattice, n_samples: int, seed,
     substreams seeded by ``(seed, chunk_index)``. Each chunk is streamed
     through tiles of ``_TILE`` rows that draw from its substream in order,
     and only its ``(m,)`` squared norms are kept, so the peak memory is one
-    tile's, not one chunk's. The result depends on neither the tile size
-    nor the worker count. ``G = E|r|^2 / (n V^{2/n})`` for ``r`` uniform on
-    the cell; the estimate is invariant to the inradius.
+    tile's, not one chunk's. ``workers`` threads estimate the chunks; the
+    result depends on neither the tile size nor the worker count.
+    ``G = E|r|^2 / (n V^{2/n})`` for ``r`` uniform on the cell; the
+    estimate is invariant to the inradius.
     """
     if n_samples < 10**4:
-        raise ConfigurationError("need at least 1e4 samples")
+        raise ConfigurationError(f"need at least 1e4 samples, got {n_samples!r}")
+    if not (_is_integer(workers) and workers >= 1):
+        raise ConfigurationError(f"workers must be an integer >= 1, got {workers!r}")
     n_chunks = (n_samples + _CHUNK - 1) // _CHUNK
     sizes = [min(_CHUNK, n_samples - i * _CHUNK) for i in range(n_chunks)]
 
@@ -75,12 +79,8 @@ def estimate_second_moment(lattice: ScaledLattice, n_samples: int, seed,
             r2[t:t + len(r)] = (r**2).sum(axis=1)
         return r2.sum(), (r2**2).sum()
 
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            parts = list(ex.map(one, range(n_chunks)))
-    else:
-        parts = [one(i) for i in range(n_chunks)]
+    with ThreadPoolExecutor(max_workers=workers) as ex:
+        parts = list(ex.map(one, range(n_chunks)))
     # reduce in chunk order: merge-order independent by construction
     s1 = sum(p[0] for p in parts)
     s2 = sum(p[1] for p in parts)

@@ -5,6 +5,7 @@ import re
 import pytest
 
 import latfold
+import latfold.experiments
 from latfold.cli import main
 
 # The package's public functions, classes and constants. Adding or removing
@@ -38,6 +39,20 @@ PIPELINE_SIGNATURES = {
     "check_recovery": ["p_hat", "p_true", "lattice"],
 }
 
+# Functions whose tolerances, retry bounds and modes are constants: every
+# parameter is one a caller sets, and none has a default.
+FIXED_KNOB_SIGNATURES = {
+    latfold.sample_uniform_cell: ["lattice", "rng", "size"],
+    latfold.is_lattice_point: ["lattice", "v"],
+    latfold.in_voronoi_cell: ["lattice", "r"],
+    latfold.fold_iterative: ["x", "lattice"],
+    latfold.experiments.burst_signal: ["rng", "n_ch", "K", "m_max", "margin", "gamma",
+                                       "lam", "leak_amp"],
+    latfold.experiments.draw_margin_trial: ["seed_seq", "lattice", "n_ch", "K", "m_max",
+                                            "margin", "gamma", "leak_amp"],
+    latfold.experiments._start_in_cell_signal: ["cfg", "lattice"],
+}
+
 # The sweep's settable surface: the config fields and the long options of
 # `latfold sweep`. Adding or removing a knob means editing these lists.
 EXPERIMENT_CONFIG_FIELDS = [
@@ -57,6 +72,13 @@ def test_public_api():
 def test_pipeline_signatures():
     for name, params in PIPELINE_SIGNATURES.items():
         assert list(inspect.signature(getattr(latfold, name)).parameters) == params, name
+
+
+def test_fixed_knob_signatures():
+    for func, params in FIXED_KNOB_SIGNATURES.items():
+        sig = inspect.signature(func).parameters
+        assert list(sig) == params, func.__name__
+        assert all(p.default is p.empty for p in sig.values()), func.__name__
 
 
 def test_experiment_config_fields():

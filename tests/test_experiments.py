@@ -95,6 +95,53 @@ def test_cli_dump_config_holds_no_study_constant(tmp_path):
     assert ExperimentConfig.load(path) == table4_config(n_trials=3)
 
 
+def test_cli_sweep_flags_override_any_base_config(tmp_path):
+    cfg_path, dumped = tmp_path / "cfg.json", tmp_path / "dumped.json"
+    _tiny_config().save(cfg_path)
+    assert main(["sweep", "--config", str(cfg_path), "--dump-config", str(dumped)]) == 0
+    assert ExperimentConfig.load(dumped) == _tiny_config()       # master_seed 1 kept
+    assert main(["sweep", "--config", str(cfg_path), "--seed", "5",
+                 "--dump-config", str(dumped)]) == 0
+    assert ExperimentConfig.load(dumped) == _tiny_config(master_seed=5)
+    assert main(["sweep", "--preset", "quantization", "--seed", "3", "--trials", "4",
+                 "--dump-config", str(dumped)]) == 0
+    assert ExperimentConfig.load(dumped) == table4_config(n_trials=4, master_seed=3)
+
+
+def test_cli_sweep_config_and_preset_exclusive(tmp_path, capsys):
+    cfg_path, dumped = tmp_path / "cfg.json", tmp_path / "dumped.json"
+    _tiny_config().save(cfg_path)
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--config", str(cfg_path), "--preset", "quantization",
+              "--dump-config", str(dumped)])
+    assert exc.value.code == 2
+    assert "not allowed with argument --config" in capsys.readouterr().err
+    assert not dumped.exists()
+
+
+@pytest.mark.parametrize("argv,named", [
+    (["table1", "--samples", "5000"], "got 5000"),
+    (["table1", "--workers", "0"], "workers must be an integer >= 1, got 0"),
+    (["table1", "--workers", "-3"], "workers must be an integer >= 1, got -3"),
+    (["demo2d", "--lam", "-1"], "inradius must be positive and finite, got -1.0"),
+    (["demo2d", "--lam", "nan"], "inradius must be positive and finite, got nan"),
+    (["demo2d", "--power-trials", "0"], "n_trials must be an integer >= 1, got 0"),
+    (["quantize-bench", "--bits", "2,x"], "'2,x'"),
+    (["quantize-bench", "--bits", "30"], "bits must be an integer in 1..24 or inf, got 30"),
+    (["sweep", "--config", "NOT_UTF8"], "NOT_UTF8: not valid JSON"),
+])
+def test_cli_bad_input_exits_2_before_any_output(argv, named, tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff\xfe{")
+    argv = [str(bad) if a == "NOT_UTF8" else a for a in argv]
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--out", str(out)])
+    assert exc.value.code == 2
+    assert named.replace("NOT_UTF8", str(bad)) in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_trial_seed_stability():
     a = trial_seed(5, 4, "snr", 30.0, 2).entropy
     b = trial_seed(5, 4, "snr", 30.0, 2).entropy

@@ -44,7 +44,7 @@ def test_make_lattice_dn_volume():
     assert lat.volume / 2.0**4 == pytest.approx(0.5)
 
 
-@pytest.mark.parametrize("family,n", [(A2, 3), (E8, 4), (DN, 1), (ZN, 0)])
+@pytest.mark.parametrize("family,n", [(A2, 3), (E8, 4), (DN, 1), (ZN, 0), (ZN, 2.5), (ZN, True)])
 def test_make_lattice_bad_dimension(family, n):
     with pytest.raises(ConfigurationError):
         make_lattice(family, n, 1.0)

@@ -35,12 +35,6 @@ def test_uniform_cell_z1_variance():
     assert (r**2).mean() == pytest.approx(1.0 / 3.0, rel=0.01)
 
 
-def test_uniform_cell_single_draw_shape():
-    lat = make_lattice(E8, 8, 1.0)
-    r = sample_uniform_cell(lat, np.random.default_rng(3))
-    assert r.shape == (8,)
-
-
 def test_second_moment_z():
     lat = make_lattice(ZN, 1, 1.0)
     est = estimate_second_moment(lat, 10**5, seed=0)
