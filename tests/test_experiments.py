@@ -120,7 +120,7 @@ def test_cli_sweep_config_and_preset_exclusive(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv,named", [
-    (["table1", "--samples", "5000"], "got 5000"),
+    (["table1", "--samples", "5000"], "need at least 1e4 samples, got 5000"),
     (["table1", "--workers", "0"], "workers must be an integer >= 1, got 0"),
     (["table1", "--workers", "-3"], "workers must be an integer >= 1, got -3"),
     (["demo2d", "--lam", "-1"], "inradius must be positive and finite, got -1.0"),
