@@ -17,14 +17,13 @@ from .lattices import ConfigurationError, ScaledLattice, _check_finite, fold, ne
 
 
 def _check_bits(bits) -> None:
-    if isinstance(bits, bool) or not (isinstance(bits, numbers.Real) and (bits == math.inf or (
-            math.isfinite(bits) and bits == int(bits) and 1 <= bits <= 24))):
-        raise ConfigurationError(f"bits must be an integer in 1..24 or inf, got {bits!r}")
+    if isinstance(bits, bool) or not isinstance(bits, numbers.Real) or bits not in range(1, 25):
+        raise ConfigurationError(f"bits must be an integer in 1..24, got {bits!r}")
 
 
 def _check_snr(snr_db) -> None:
-    if isinstance(snr_db, bool) or not (isinstance(snr_db, numbers.Real) and snr_db > 0):
-        raise ConfigurationError(f"snr_db must be positive (or inf), got {snr_db!r}")
+    if isinstance(snr_db, bool) or not (isinstance(snr_db, numbers.Real) and 0 < snr_db < math.inf):
+        raise ConfigurationError(f"snr_db must be positive and finite, got {snr_db!r}")
 
 
 def fold_signal(f: np.ndarray, lattice: ScaledLattice):
@@ -39,13 +38,11 @@ def add_noise(y: np.ndarray, snr_db: float, seed) -> np.ndarray:
     """Additive Gaussian noise at the prescribed SNR relative to this record's power.
 
     Per-coordinate noise variance equals ``P_y * 10^(-snr/10)`` with ``P_y``
-    the empirical mean of ``|y[k]|^2 / n`` over the record. ``snr_db=inf``
-    returns ``y`` unchanged.
+    the empirical mean of ``|y[k]|^2 / n`` over the record. ``snr_db`` is
+    finite: a noiseless record is not passed through the channel.
     """
     _check_snr(snr_db)
     _check_finite(y, "channel input")
-    if math.isinf(snr_db):
-        return y
     rng = np.random.default_rng(seed)
     var = float((y**2).sum() / y.size) * 10.0 ** (-snr_db / 10.0)
     return y + math.sqrt(var) * rng.standard_normal(y.shape)
@@ -59,20 +56,17 @@ def scalar_quantize(y: np.ndarray, bits: float, lam: float) -> np.ndarray:
     ``[-step/2, step/2]`` regardless of the cell shape. The output is not
     clipped to ``[-lam, lam]``: cells other than the cube extend past
     ``lam`` per coordinate, and clipping there would distort the error law.
+    ``bits`` is an integer in 1..24; a noiseless record skips the channel.
     """
     _check_bits(bits)
     _check_finite(y, "channel input")
-    if math.isinf(bits):
-        return y
     step = 2.0 * lam / 2.0 ** int(bits)
     return step * np.round(y / step)
 
 
 def lattice_quantize(y: np.ndarray, lattice: ScaledLattice, bits: float) -> np.ndarray:
-    """Matched quantizer: nearest point of the scaled lattice ``2^-B Lambda``."""
+    """Matched quantizer: nearest point of the scaled lattice ``2^-B Lambda``, B in 1..24."""
     _check_bits(bits)
     _check_finite(y, "channel input")
-    if math.isinf(bits):
-        return y
     s = 2.0 ** (-int(bits))
     return s * nearest_point(y / s, lattice)

@@ -14,8 +14,14 @@ from .lattices import ConfigurationError
 from .moments import format_report_csv, format_report_text, table1_report
 
 
+def _seed(text: str) -> int:
+    if not (text.isdigit() and text.isascii()):
+        raise argparse.ArgumentTypeError(f"seed must be a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def _add_common(p):
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", type=str, default=None, help="output file or directory")
 
 

@@ -18,7 +18,6 @@ import time
 import zlib
 from dataclasses import dataclass, asdict, fields, replace
 from pathlib import Path
-from types import MappingProxyType
 from typing import ClassVar, Mapping, Optional
 
 import numpy as np
@@ -173,9 +172,20 @@ class ExperimentConfig:
             raise ConfigurationError(f"n_trials must be >= 1, got {self.n_trials!r}")
         if not (_is_integer(self.hod_order) and self.hod_order >= 1):
             raise ConfigurationError(f"hod_order must be an integer >= 1, got {self.hod_order!r}")
+        if not 0 <= self.master_seed < 2**32:       # the seeds keep its low 32 bits
+            raise ConfigurationError(f"master_seed must be in 0..{2**32 - 1}, "
+                                     f"got {self.master_seed!r}")
         for check, levels in ((_check_snr, self.snr_db_list), (_check_bits, self.bits_list)):
             for level in [v for v in levels if v is not None]:
                 check(level)
+        plain = [a for a in self.architectures if ARCHITECTURES[a]["quantizer"] is None]
+        if plain and any(b is not None for b in self.bits_list):
+            raise ConfigurationError(f"architecture {plain[0]!r} has no quantizer for bits_list")
+        for name, values in (("oversampling factor", self.of_list),
+                             ("architecture", self.architectures), ("level", _levels(self))):
+            again = [v for i, v in enumerate(values) if v in values[:i]]
+            if again:
+                raise ConfigurationError(f"{name} {again[0]!r} is repeated in the grid")
 
     def to_dict(self) -> dict:
         d = asdict(self)
@@ -218,6 +228,12 @@ class ExperimentConfig:
             raise ConfigurationError(f"{path}: not valid JSON: {exc}") from None
         except ConfigurationError as exc:
             raise ConfigurationError(f"{path}: {exc}") from None
+
+
+def _levels(cfg: ExperimentConfig) -> list:
+    """``(kind, level)`` per level group, SNRs first; a None level, or none, is "clean"."""
+    return [("clean" if v is None else kind, v) for kind, vals in
+            (("snr", cfg.snr_db_list), ("bits", cfg.bits_list)) for v in vals] or [("clean", None)]
 
 
 def table3_config(n_trials: int = 50, master_seed: int = 0) -> ExperimentConfig:
@@ -269,16 +285,14 @@ class ExperimentResult:
     cells: tuple
 
 
-def _level_code(kind: str, level) -> int:
-    if level is None:
-        return 999999999
-    return int(round(float(level) * 1000.0)) & 0xFFFFFFFF
+def _level_code(level) -> int:
+    return 999999999 if level is None else int(round(float(level) * 1000.0)) & 0xFFFFFFFF
 
 
 def trial_seed(master_seed: int, of, kind: str, level, trial: int) -> np.random.SeedSequence:
     """Stable per-trial seed from cell coordinates, not grid position."""
     parts = [int(master_seed), int(round(float(of) * 10)),
-             zlib.crc32(kind.encode()), _level_code(kind, level), int(trial)]
+             zlib.crc32(kind.encode()), _level_code(level), int(trial)]
     return np.random.SeedSequence([p & 0xFFFFFFFF for p in parts])
 
 
@@ -286,7 +300,7 @@ def noise_seed(master_seed: int, of, kind: str, level, trial: int) -> np.random.
     """Per-trial noise seed; like ``trial_seed``, shared by every architecture."""
     return np.random.SeedSequence([(int(master_seed) + 7) & 0xFFFFFFFF,
                                    int(round(float(of) * 10)),
-                                   _level_code(kind, level), int(trial)])
+                                   _level_code(level), int(trial)])
 
 
 def _geometry(cfg: ExperimentConfig, of):
@@ -339,42 +353,14 @@ def run_trial(cfg: ExperimentConfig, of, kind: str, level, arch: str,
     return check_recovery(result.p_hat, p_true, lattice) == 0, mse
 
 
-def _shared_draws(cfg: ExperimentConfig, of, kind: str, level) -> Mapping:
-    """Every trial's ``(lattice, draw_folded(...))`` per fold family.
-
-    Covers one (OF, level) group, keyed ``(family, trial)``; each family's
-    lattice is built once. The signal seed does not depend on the architecture, so every architecture
-    that folds with the same lattice reads the same entry. A family stops
-    at its first lattice or draw that raises and stores the exception as
-    that trial's entry; each cell of the family raises it there as its
-    cell error.
-    """
-    draws = {}
-    for family in dict.fromkeys(ARCHITECTURES[a]["fold"] for a in cfg.architectures):
-        t = 0
-        try:
-            lattice = make_lattice(family, cfg.n_channels, cfg.lam)
-            for t in range(cfg.n_trials):
-                draws[family, t] = lattice, draw_folded(
-                    cfg, of, lattice, trial_seed(cfg.master_seed, of, kind, level, t))
-        except Exception as exc:          # reported by the cells, as above
-            draws[family, t] = exc
-    return MappingProxyType(draws)
-
-
-def _run_cell_trials(cfg: ExperimentConfig, of, kind: str, level, arch: str,
-                     draws: Mapping) -> CellResult:
-    family = ARCHITECTURES[arch]["fold"]
+def _run_cell_trials(cfg: ExperimentConfig, of, kind: str, level, arch: str, draws) -> CellResult:
     t0 = time.perf_counter()
     succ, error = [], None
     try:
-        for t in range(cfg.n_trials):
-            entry = draws[family, t]
-            if isinstance(entry, Exception):
-                raise entry
+        for t, drawn in enumerate(draws(ARCHITECTURES[arch]["fold"])):
             nseed = (noise_seed(cfg.master_seed, of, kind, level, t)
                      if kind == "snr" else None)    # only the noise draws from it
-            ok, mse = run_trial(cfg, of, kind, level, arch, *entry, nseed)
+            ok, mse = run_trial(cfg, of, kind, level, arch, *drawn, nseed)
             if ok:
                 succ.append(mse)
     except Exception as exc:               # per-cell failure, sweep continues
@@ -389,24 +375,37 @@ def _run_cell_trials(cfg: ExperimentConfig, of, kind: str, level, arch: str,
         wall_time=time.perf_counter() - t0, error=error)
 
 
+def _run_group(cfg: ExperimentConfig, of, kind: str, level, lattice) -> list:
+    """The cells of one (OF, level) group, one per architecture, in order.
+
+    The signal seed does not depend on the architecture, so architectures
+    that fold with the same lattice share the ``draws`` memo: every trial,
+    drawn in one pass so that the draw and then the solver stay hot in
+    cache. The memo keeps no exception: a failed lattice or draw raises
+    again, with the same message, in each cell that needs it.
+    """
+    @functools.cache
+    def draws(family):
+        lat = lattice(family)
+        seeds = (trial_seed(cfg.master_seed, of, kind, level, t) for t in range(cfg.n_trials))
+        return tuple((lat, draw_folded(cfg, of, lat, seed)) for seed in seeds)
+
+    return [_run_cell_trials(cfg, of, kind, level, arch, draws) for arch in cfg.architectures]
+
+
 def run_sweep(cfg: ExperimentConfig) -> ExperimentResult:
     """Run every (OF, level, architecture) cell of the sweep, in grid order.
 
     Per-trial seeds hash the cell coordinates and the trial index, so adding
-    grid cells never perturbs existing ones. The architectures of one
-    (OF, level) group share each trial's draw and fold (``_shared_draws``).
-    The config checked itself when it was built; a trial that raises
-    fails only its own cell.
+    grid cells never perturbs existing ones. Each fold lattice is built once
+    per sweep and each draw once per group (``_run_group``); a trial that
+    raises fails only its own cell.
     """
-    levels = [("snr", s) for s in cfg.snr_db_list] + \
-             [("bits", b) for b in cfg.bits_list]
+    lattice = functools.cache(lambda family: make_lattice(family, cfg.n_channels, cfg.lam))
     cells = []
     for of in cfg.of_list:
-        for kind, level in levels or [("clean", None)]:
-            kind = "clean" if level is None else kind
-            draws = _shared_draws(cfg, of, kind, level)
-            cells += [_run_cell_trials(cfg, of, kind, level, arch, draws)
-                      for arch in cfg.architectures]
+        for kind, level in _levels(cfg):
+            cells += _run_group(cfg, of, kind, level, lattice)
     return ExperimentResult(config=cfg, cells=tuple(cells))
 
 

@@ -1,16 +1,16 @@
 import dataclasses
 import hashlib
 import json
+import math
 import re
 
 import numpy as np
 import pytest
 
-from latfold import (E8, ZN, ConfigurationError, ExperimentConfig,
+from latfold import (E8, ConfigurationError, ExperimentConfig,
                      emit_tables, run_sweep, table3_config, table4_config)
 from latfold.cli import main
-from latfold.experiments import (DemoRecoveryError, _shared_draws,
-                                 concentration_modes, demo_power_ratio,
+from latfold.experiments import (DemoRecoveryError, concentration_modes, demo_power_ratio,
                                  emit_trajectory_demo, quantize_bench, trial_seed)
 
 
@@ -127,8 +127,11 @@ def test_cli_sweep_config_and_preset_exclusive(tmp_path, capsys):
     (["demo2d", "--lam", "nan"], "inradius must be positive and finite, got nan"),
     (["demo2d", "--power-trials", "0"], "n_trials must be an integer >= 1, got 0"),
     (["quantize-bench", "--bits", "2,x"], "'2,x'"),
-    (["quantize-bench", "--bits", "30"], "bits must be an integer in 1..24 or inf, got 30"),
+    (["quantize-bench", "--bits", "30"], "bits must be an integer in 1..24, got 30"),
     (["sweep", "--config", "NOT_UTF8"], "NOT_UTF8: not valid JSON"),
+    *[([command, "--seed", "-1"], "seed must be a non-negative integer, got '-1'")
+      for command in ("table1", "sweep", "demo2d", "quantize-bench")],
+    (["sweep", "--seed", "4294967296"], "master_seed must be in 0..4294967295, got 4294967296"),
 ])
 def test_cli_bad_input_exits_2_before_any_output(argv, named, tmp_path, capsys):
     bad = tmp_path / "bad.json"
@@ -169,24 +172,25 @@ def test_sweep_deterministic():
         assert a.mse_mean == b.mse_mean
 
 
-def test_sweep_bad_architecture_is_cell_error():
-    cfg = _tiny_config(bits_list=(4,), snr_db_list=(), architectures=("square",))
-    # "square" has no quantizer: the bits cell must fail gracefully
-    result = run_sweep(cfg)
-    bits_cells = [c for c in result.cells if c.level_kind == "bits"]
-    assert bits_cells and all(c.error for c in bits_cells)
-
-
 @pytest.mark.parametrize("field,value,named", [
     ("of_list", (6, 3), "oversampling factor 3"),
     ("architectures", ("square", "hex"), "architecture 'hex'"),
     ("algorithm", "nope", "algorithm 'nope'"),
     ("n_trials", 0, "n_trials must be >= 1, got 0"),
-    ("snr_db_list", (25, -5), "snr_db must be positive (or inf), got -5"),
-    ("bits_list", (0,), "bits must be an integer in 1..24 or inf, got 0"),
-    ("bits_list", (4, 25), "bits must be an integer in 1..24 or inf, got 25"),
-    ("bits_list", (2.5,), "bits must be an integer in 1..24 or inf, got 2.5"),
+    ("snr_db_list", (25, -5), "snr_db must be positive and finite, got -5"),
+    ("bits_list", (0,), "bits must be an integer in 1..24, got 0"),
+    ("bits_list", (4, 25), "bits must be an integer in 1..24, got 25"),
+    ("bits_list", (2.5,), "bits must be an integer in 1..24, got 2.5"),
     ("algorithm", "lasso", "algorithm 'lasso'"),
+    ("bits_list", (4,), "architecture 'square' has no quantizer for bits_list"),
+    ("snr_db_list", (math.inf,), "snr_db must be positive and finite, got inf"),
+    ("bits_list", (math.inf,), "bits must be an integer in 1..24, got inf"),
+    ("master_seed", -1, "master_seed must be in 0..4294967295, got -1"),
+    ("master_seed", 2**32, "master_seed must be in 0..4294967295, got 4294967296"),
+    ("bits_list", (None,), "level ('clean', None) is repeated"),     # snr_db_list has None
+    ("snr_db_list", (25, 25.0), "level ('snr', 25.0) is repeated"),
+    ("of_list", (6, 6.0), "oversampling factor 6.0 is repeated"),
+    ("architectures", ("e8", "square", "e8"), "architecture 'e8' is repeated"),
 ])
 def test_sweep_rejects_bad_config_up_front(field, value, named, monkeypatch):
     import latfold.experiments as experiments
@@ -251,8 +255,10 @@ def test_config_lists_and_tuples_are_one_config(tmp_path):
     ("n_trials", True, "n_trials must be an integer, got True"),
     ("master_seed", "x", "master_seed must be an integer, got 'x'"),
     ("of_list", 6, "of_list must be a list, got 6"),
-    ("bits_list", [True], "bits must be an integer in 1..24 or inf, got True"),
-    ("snr_db_list", [True], "snr_db must be positive (or inf), got True"),
+    ("bits_list", [True], "bits must be an integer in 1..24, got True"),
+    ("snr_db_list", [True], "snr_db must be positive and finite, got True"),
+    ("snr_db_list", [math.inf], "snr_db must be positive and finite, got inf"),   # JSON Infinity
+    ("bits_list", [math.inf], "bits must be an integer in 1..24, got inf"),
 ])
 def test_config_rejects_bad_type_up_front(key, value, named, tmp_path, capsys, monkeypatch):
     import latfold.experiments as experiments
@@ -358,7 +364,8 @@ def test_noise_seed_built_only_for_snr_cells(monkeypatch):
     original = experiments.noise_seed
     monkeypatch.setattr(experiments, "noise_seed",
                         lambda *a: calls.append(a) or original(*a))
-    run_sweep(_tiny_config(snr_db_list=(), bits_list=(6, None), n_trials=2))
+    run_sweep(_tiny_config(snr_db_list=(), bits_list=(6, None), n_trials=2,
+                           architectures=("sq+sqq", "e8+e8q")))
     assert calls == []
     run_sweep(_tiny_config(snr_db_list=(25, None), n_trials=2))
     assert sorted({a[2] for a in calls}) == ["snr"]
@@ -383,6 +390,17 @@ def test_sweep_csv_pinned():
             (table4_config, 3, "4f7044421f2dea3a21bf962a15031689b2a9095e609b938d280013d7149e9b00")):
         out = emit_tables(run_sweep(make(n_trials=2, master_seed=seed)), "csv")
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_mixed_grid_csv_pinned():
+    # two architectures share each E8 draw beside one that folds with Z^n:
+    # a change to how a group shares its draws that moves any digit shows here
+    cfg = ExperimentConfig(of_list=(4, 6), snr_db_list=(), bits_list=(4, 8, None),
+                           architectures=("sq+sqq", "e8+sqq", "e8+e8q"), n_trials=3,
+                           master_seed=2)
+    out = emit_tables(run_sweep(cfg), "csv")
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "7cdab48b5e59f93cfcdb85c59f3338f212cca9d7286551253df10c00f86b9959"
 
 
 def test_shared_draws_leave_rows_unchanged(monkeypatch):
@@ -427,20 +445,6 @@ def test_failed_draws_stay_cell_errors(monkeypatch):
     assert e8.error == "ConfigurationError: could not draw a fold-free margin signal"
 
 
-def test_shared_draws_are_read_only():
-    cfg = _tiny_config(architectures=("e8+sqq", "sq+sqq", "e8+e8q"), n_trials=2)
-    draws = _shared_draws(cfg, 6, "clean", None)
-    assert sorted(draws) == [(E8, 0), (E8, 1), (ZN, 0), (ZN, 1)]
-    for _, (y, p_true) in draws.values():
-        for a in (y, p_true):
-            with pytest.raises(ValueError):
-                a[0, 0] = 1.0
-    with pytest.raises(TypeError):
-        draws[E8, 0] = None
-    assert _shared_draws(_tiny_config(architectures=()), 6, "clean", None) == {}
-    assert run_sweep(_tiny_config(architectures=())).cells == ()
-
-
 def test_emit_csv_byte_stable():
     cfg = _tiny_config()
     out1 = emit_tables(run_sweep(cfg), fmt="csv")
@@ -451,9 +455,11 @@ def test_emit_csv_byte_stable():
 
 
 def test_emit_empty_sweep_header_only():
-    cfg = _tiny_config(of_list=(), architectures=("square",))
-    out = emit_tables(run_sweep(cfg), fmt="csv")
-    assert out.count("\n") == 1
+    for cfg in (_tiny_config(of_list=(), architectures=("square",)),
+                _tiny_config(architectures=())):
+        result = run_sweep(cfg)
+        assert result.cells == ()
+        assert emit_tables(result, fmt="csv").count("\n") == 1
 
 
 def test_emit_json_and_text_forms():
@@ -472,6 +478,8 @@ def test_quantize_bench_values():
             assert row["ratio"] == pytest.approx(1.0, abs=0.03)
     for b, row in rep["mismatched"].items():
         assert row["ratio"] == pytest.approx(1.0, abs=0.02)
+    with pytest.raises(ConfigurationError, match="bits must be an integer in 1..24, got inf"):
+        quantize_bench(bits=(math.inf,))
 
 
 def test_demo_power_ratio_matches_second_moment():
