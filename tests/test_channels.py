@@ -93,15 +93,34 @@ def test_matched_vs_scalar_ratio():
 
 def test_channel_input_validation():
     y, lat = _cell_samples(ZN, 2, 1.0, 10)
-    # inf is no level either: a noiseless record does not pass a channel
-    for snr_db in (-3.0, 0.0, math.inf, -math.inf, math.nan, True):
+    for snr_db in (-3.0, 0.0, -math.inf, math.nan, True):
         with pytest.raises(ValueError):
             add_noise(y, snr_db, seed=0)
-    for bits in (25, 0, math.inf, -math.inf, math.nan, True):
+    for bits in (25, 0, -math.inf, math.nan, True):
         with pytest.raises(ValueError):
             scalar_quantize(y, bits, 1.0)
         with pytest.raises(ValueError):
             lattice_quantize(y, lat, bits)
+
+
+# Infinite SNR or bits is not an identity channel: a noiseless cell carries
+# a None level and never reaches a channel, so each channel rejects inf.
+def test_noise_identity_at_infinite_snr():
+    y, _ = _cell_samples(ZN, 2, 1.0, 10)
+    with pytest.raises(ValueError, match="snr_db"):
+        add_noise(y, math.inf, seed=0)
+
+
+def test_scalar_quantizer_identity_infinite_bits():
+    y, _ = _cell_samples(ZN, 2, 1.0, 10)
+    with pytest.raises(ValueError, match="bits"):
+        scalar_quantize(y, math.inf, 1.0)
+
+
+def test_lattice_quantizer_identity_infinite_bits():
+    y, lat = _cell_samples(E8, 8, 1.0, 10)
+    with pytest.raises(ValueError, match="bits"):
+        lattice_quantize(y, lat, math.inf)
 
 
 def test_quantizers_reject_non_integer_bits():
