@@ -1,0 +1,6 @@
+"""``python -m latfold``: the ``latfold`` command."""
+
+from .cli import main
+
+if __name__ == "__main__":
+    raise SystemExit(main())

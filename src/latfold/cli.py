@@ -47,9 +47,9 @@ def main(argv=None) -> int:
     _add_common(p1)
     p1.add_argument("--format", choices=("csv", "json", "text"), default="text")
     p1.add_argument("--samples", type=int, default=10**6)
-    p1.add_argument("--workers", type=int, default=1,
-                    help="threads that estimate chunks in parallel; the "
-                         "table does not depend on it")
+    p1.add_argument("--workers", type=int, default=None,
+                    help="threads that estimate chunks in parallel (default: "
+                         "one per usable CPU); the table does not depend on it")
 
     p2 = sub.add_parser("sweep", help="Monte Carlo recovery-rate sweep")
     _add_common(p2)

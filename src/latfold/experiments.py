@@ -186,6 +186,13 @@ class ExperimentConfig:
             again = [v for i, v in enumerate(values) if v in values[:i]]
             if again:
                 raise ConfigurationError(f"{name} {again[0]!r} is repeated in the grid")
+        codes = {}          # the seeds see a level only through its code
+        for kind, level in _levels(self):
+            key = (kind, _level_code(level))
+            if key in codes:
+                raise ConfigurationError(f"{kind} levels {codes[key]!r} and {level!r} share "
+                                         f"their trial seeds (level code {key[1]})")
+            codes[key] = level
 
     def to_dict(self) -> dict:
         d = asdict(self)

@@ -50,6 +50,17 @@ class NonFiniteInputError(ValueError):
     """A nearest-point query, channel or recoverer got NaN or infinite input."""
 
 
+class InputRangeError(ValueError):
+    """A nearest-point query has a coordinate of 2**52 lattice units or more.
+
+    A float that large has no fraction left, so the decoders cannot tell
+    the cosets apart and would return the query unchanged.
+    """
+
+
+_MAX_UNITS = 2.0**52
+
+
 def _check_finite(x, what: str) -> None:
     """Raise NonFiniteInputError if ``x`` holds NaN or an infinity."""
     if not np.isfinite(x).all():
@@ -209,11 +220,15 @@ def _decode(x, spec: _Family, scale) -> np.ndarray:
     """Nearest point of the family's coset union, scaled by ``scale``.
 
     Decodes the rows of ``x`` (the last axis) in every coset at once and
-    keeps the nearest candidate under the family's tie rule.
+    keeps the nearest candidate under the family's tie rule. NaN and inf
+    raise NonFiniteInputError, and ``|x|/scale >= 2**52`` InputRangeError.
     """
     x = np.asarray(x, dtype=float)
-    _check_finite(x, "nearest-point query")
     u = x.reshape(-1, x.shape[-1]) / scale
+    top = np.abs(u).max(initial=0.0)        # one reduction: NaN propagates
+    if not top < _MAX_UNITS:
+        _check_finite(x, "nearest-point query")
+        raise InputRangeError(f"nearest-point query has |x|/scale = {top:.3g} >= 2**52")
     if spec.shifts is None:
         return (spec.base(u) * scale).reshape(x.shape)
     c = np.concatenate([u[None], u - spec.shifts[:, None]])      # (cosets, m, n)

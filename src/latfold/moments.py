@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -13,9 +14,9 @@ from .lattices import (A2, DN, E8, ZN, ConfigurationError, ScaledLattice, _is_in
 
 _CHUNK = 1 << 18
 # rows drawn, folded and squared at a time within a chunk: it bounds every
-# temporary (the decoder's largest is (cosets, _TILE, n) floats, 1 MB on E8),
-# and the estimate does not depend on it
-_TILE = 1 << 13
+# temporary (the decoder's largest is (cosets, _TILE, n) floats, 512 KB on
+# E8), and the estimate does not depend on it
+_TILE = 1 << 12
 
 # best known 3D / 24D quantizers; no nearest-point algorithm here, so their
 # rows are reported as literature constants only
@@ -51,46 +52,75 @@ def sample_uniform_cell(lattice: ScaledLattice, rng: np.random.Generator, size: 
     return r
 
 
+def _worker_count(workers) -> int:
+    """``workers`` threads, or by default one per CPU this process may run on."""
+    if workers is None:
+        try:
+            return len(os.sched_getaffinity(0))
+        except AttributeError:              # no affinity call on this platform
+            return os.cpu_count() or 1
+    if not (_is_integer(workers) and workers >= 1):
+        raise ConfigurationError(f"workers must be an integer >= 1, got {workers!r}")
+    return workers
+
+
+def _chunk_sums(lattice: ScaledLattice, seed, i: int, size: int):
+    """Sums of ``|r|^2`` and ``|r|^4`` over chunk ``i``, drawn tile by tile."""
+    rng = np.random.default_rng(np.random.SeedSequence([int(seed), i]))
+    r2 = np.empty(size)
+    for t in range(0, size, _TILE):
+        r = sample_uniform_cell(lattice, rng, min(_TILE, size - t))
+        r2[t:t + len(r)] = (r**2).sum(axis=1)
+    return r2.sum(), (r2**2).sum()
+
+
+def _estimate_all(lattices, n_samples: int, seed, workers) -> list:
+    """Second-moment estimates of ``lattices``, their chunks in one thread pool.
+
+    The chunks of every lattice are submitted to one pool, the highest
+    dimension (the costliest per sample) first, so no thread waits at a
+    lattice boundary. Each lattice's sums are reduced in chunk order.
+    """
+    if n_samples < 10**4:
+        raise ConfigurationError(f"need at least 1e4 samples, got {n_samples!r}")
+    workers = _worker_count(workers)
+    sizes = [min(_CHUNK, n_samples - i) for i in range(0, n_samples, _CHUNK)]
+    costliest_first = sorted(range(len(lattices)), key=lambda k: -lattices[k].n)
+    with ThreadPoolExecutor(max_workers=workers) as ex:
+        futures = {k: [ex.submit(_chunk_sums, lattices[k], seed, i, size)
+                       for i, size in enumerate(sizes)] for k in costliest_first}
+    estimates = []
+    for k, lat in enumerate(lattices):
+        parts = [f.result() for f in futures[k]]
+        # reduce in chunk order: merge-order independent by construction
+        s1 = sum(p[0] for p in parts)
+        s2 = sum(p[1] for p in parts)
+        mean = s1 / n_samples
+        var = max(s2 / n_samples - mean**2, 0.0)
+        denom = lat.n * lat.volume ** (2.0 / lat.n)
+        G = mean / denom
+        std_err = math.sqrt(var / n_samples) / denom
+        estimates.append(SecondMomentEstimate(G=G, mse_per_cell=predicted_mse(lat, G),
+                                              n_samples=n_samples, std_err=std_err))
+    return estimates
+
+
 def estimate_second_moment(lattice: ScaledLattice, n_samples: int, seed,
-                           workers: int = 1) -> SecondMomentEstimate:
+                           workers: int | None = None) -> SecondMomentEstimate:
     """Monte Carlo estimate of the dimensionless second moment G.
 
     Samples are partitioned into fixed-size chunks with independent
     substreams seeded by ``(seed, chunk_index)``. Each chunk is streamed
     through tiles of ``_TILE`` rows that draw from its substream in order,
-    and only its ``(m,)`` squared norms are kept, so the peak memory is one
-    tile's, not one chunk's. ``workers`` threads estimate the chunks; the
-    result depends on neither the tile size nor the worker count.
+    and only its ``(m,)`` squared norms are kept, so each thread holds one
+    tile's temporaries and one chunk's norms, not a chunk's draw.
+    ``workers`` threads estimate the chunks, by default one per CPU this
+    process may run on; the result depends on neither the tile size nor
+    the worker count.
     ``G = E|r|^2 / (n V^{2/n})`` for ``r`` uniform on the cell; the
     estimate is invariant to the inradius.
     """
-    if n_samples < 10**4:
-        raise ConfigurationError(f"need at least 1e4 samples, got {n_samples!r}")
-    if not (_is_integer(workers) and workers >= 1):
-        raise ConfigurationError(f"workers must be an integer >= 1, got {workers!r}")
-    n_chunks = (n_samples + _CHUNK - 1) // _CHUNK
-    sizes = [min(_CHUNK, n_samples - i * _CHUNK) for i in range(n_chunks)]
-
-    def one(i):
-        rng = np.random.default_rng(np.random.SeedSequence([int(seed), i]))
-        r2 = np.empty(sizes[i])
-        for t in range(0, sizes[i], _TILE):
-            r = sample_uniform_cell(lattice, rng, min(_TILE, sizes[i] - t))
-            r2[t:t + len(r)] = (r**2).sum(axis=1)
-        return r2.sum(), (r2**2).sum()
-
-    with ThreadPoolExecutor(max_workers=workers) as ex:
-        parts = list(ex.map(one, range(n_chunks)))
-    # reduce in chunk order: merge-order independent by construction
-    s1 = sum(p[0] for p in parts)
-    s2 = sum(p[1] for p in parts)
-    mean = s1 / n_samples
-    var = max(s2 / n_samples - mean**2, 0.0)
-    denom = lattice.n * lattice.volume ** (2.0 / lattice.n)
-    G = mean / denom
-    std_err = math.sqrt(var / n_samples) / denom
-    return SecondMomentEstimate(G=G, mse_per_cell=predicted_mse(lattice, G),
-                                n_samples=n_samples, std_err=std_err)
+    return _estimate_all([lattice], n_samples, seed, workers)[0]
 
 
 def predicted_mse(lattice: ScaledLattice, G: float) -> float:
@@ -124,16 +154,17 @@ def equivalent_gains(ratio: float) -> EquivalentGains:
                            bits_saved=math.log(inv) / math.log(4.0))
 
 
-def table1_report(n_samples: int = 10**6, seed: int = 0, workers: int = 1):
+def table1_report(n_samples: int = 10**6, seed: int = 0, workers: int | None = None):
     """Second-moment comparison rows, cubic baseline at equal inradius.
 
-    Estimated rows: Z (n=1), A2, D4, E8. The 3D and 24D quantizers are
-    emitted from literature constants and flagged as such.
+    Estimated rows: Z (n=1), A2, D4, E8, their chunks estimated by one pool
+    of ``workers`` threads (see ``estimate_second_moment``). The 3D and 24D
+    quantizers are emitted from literature constants and flagged as such.
     """
+    lattices = [make_lattice(family, n, 1.0) for _, family, n in ESTIMATED_FAMILIES]
+    estimates = _estimate_all(lattices, n_samples, seed, workers)
     rows = []
-    for name, family, n in ESTIMATED_FAMILIES:
-        lat = make_lattice(family, n, 1.0)
-        est = estimate_second_moment(lat, n_samples, seed, workers=workers)
+    for (name, _, n), lat, est in zip(ESTIMATED_FAMILIES, lattices, estimates):
         cube = make_lattice(ZN, n, 1.0)
         ratio = mse_ratio(lat, cube, est.G, G_CUBIC)
         rows.append({

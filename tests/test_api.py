@@ -1,6 +1,10 @@
 import dataclasses
 import inspect
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -13,7 +17,7 @@ from latfold.cli import main
 PUBLIC_API = [
     "A2", "ConfigurationError", "DN", "DegenerateSignalError", "E8",
     "EquivalentGains", "ExperimentConfig", "ExperimentResult", "FAMILIES",
-    "NonFiniteInputError", "OobOperator", "RecoveryNumericalError",
+    "InputRangeError", "NonFiniteInputError", "OobOperator", "RecoveryNumericalError",
     "RecoveryResult", "ScaledLattice", "SecondMomentEstimate", "SignalConfig",
     "UnsupportedLatticeError", "ZN", "add_noise", "b2r2_recover",
     "build_oob_operator", "check_recovery", "emit_tables", "emit_trajectory_demo",
@@ -92,3 +96,27 @@ def test_sweep_options(capsys):
     assert exc.value.code == 0
     shown = set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out))
     assert sorted(shown) == SWEEP_OPTIONS
+
+
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _fresh_python(args, **env):
+    """Run a new interpreter on this ``latfold`` with no BLAS thread variable set."""
+    base = {k: v for k, v in os.environ.items() if k not in BLAS_VARS}
+    base["PYTHONPATH"] = str(Path(latfold.__file__).resolve().parents[1])
+    return subprocess.run([sys.executable, *args], env={**base, **env},
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_import_pins_blas_threads_unless_set():
+    show = "import os, latfold; print([os.environ[v] for v in %r])" % (BLAS_VARS,)
+    assert _fresh_python(["-c", show]).stdout.strip() == "['1', '1', '1']"
+    kept = _fresh_python(["-c", show], OPENBLAS_NUM_THREADS="3")
+    assert kept.stdout.strip() == "['3', '1', '1']"
+
+
+def test_python_dash_m_runs_the_cli():
+    proc = _fresh_python(["-m", "latfold", "table1", "--samples", "10000", "--format", "csv"])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("name,n,G,std_err")

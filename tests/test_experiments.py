@@ -191,6 +191,7 @@ def test_sweep_deterministic():
     ("snr_db_list", (25, 25.0), "level ('snr', 25.0) is repeated"),
     ("of_list", (6, 6.0), "oversampling factor 6.0 is repeated"),
     ("architectures", ("e8", "square", "e8"), "architecture 'e8' is repeated"),
+    ("snr_db_list", (20, 25, 25.0004), "snr levels 25 and 25.0004 share their trial seeds"),
 ])
 def test_sweep_rejects_bad_config_up_front(field, value, named, monkeypatch):
     import latfold.experiments as experiments

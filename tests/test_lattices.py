@@ -3,10 +3,10 @@ from itertools import combinations, product
 import numpy as np
 import pytest
 
-from latfold import (A2, DN, E8, ZN, ConfigurationError, NonFiniteInputError,
-                     UnsupportedLatticeError, fold, fold_iterative, folds_to_zero,
-                     in_voronoi_cell, is_lattice_point, make_lattice, nearest_point,
-                     relevant_vectors, voronoi_cell_polygon)
+from latfold import (A2, DN, E8, ZN, ConfigurationError, InputRangeError,
+                     NonFiniteInputError, UnsupportedLatticeError, fold,
+                     fold_iterative, folds_to_zero, in_voronoi_cell, is_lattice_point,
+                     make_lattice, nearest_point, relevant_vectors, voronoi_cell_polygon)
 from oracles import closest_point
 
 UNIT_E8 = 1.0 / np.sqrt(2.0)   # inradius that puts dn/e8 at unit-lattice scale
@@ -194,6 +194,25 @@ def test_nearest_point_rejects_non_finite(family, n):
             nearest_point(x, lat)
         with pytest.raises(NonFiniteInputError):
             nearest_point(x[1], lat)
+
+
+@pytest.mark.parametrize("family,n", [(ZN, 2), (A2, 2), (DN, 4), (E8, 8)])
+def test_nearest_point_rejects_huge_input(family, n):
+    lat = make_lattice(family, n, 0.7)
+    unit = np.ravel(lat.scale)[0]               # lattice units of the first axis
+    for big in (2.0**52, -(2.0**52), 1e300):
+        x = np.full((3, n), 0.3)
+        x[1, 0] = big * unit
+        with pytest.raises(InputRangeError):
+            nearest_point(x, lat)
+        with pytest.raises(InputRangeError):
+            nearest_point(x[1], lat)
+        x[2, -1] = np.nan                       # NaN outranks the range error
+        with pytest.raises(NonFiniteInputError):
+            nearest_point(x, lat)
+    x = np.full((1, n), 0.3)
+    x[0, 0] = 2.0**51 * unit                    # below the bound: decoded
+    assert np.all(np.abs(x - nearest_point(x, lat)) <= lat.covering_radius)
 
 
 @pytest.mark.parametrize("family,n", [(ZN, 2), (A2, 2), (DN, 4), (E8, 8)])

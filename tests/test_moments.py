@@ -1,6 +1,8 @@
 import hashlib
 import json
+import os
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -9,7 +11,9 @@ from latfold import (A2, DN, E8, ZN, ConfigurationError, equivalent_gains,
                      estimate_second_moment, make_lattice, mse_ratio,
                      nearest_point, predicted_mse, sample_uniform_cell,
                      table1_report)
-from latfold.moments import G_CUBIC, format_report_csv, format_report_text
+from latfold import moments
+from latfold.moments import (ESTIMATED_FAMILIES, G_CUBIC, format_report_csv,
+                             format_report_text)
 
 
 def test_uniform_cell_mean_zero():
@@ -79,22 +83,54 @@ def test_table1_pinned_across_chunks_and_workers():
     # two chunks, the second ending in a partial tile; the digest is of the
     # JSON that ``latfold table1 --format json`` writes
     n = 2**18 + 4099
-    for workers in (1, 2):
+    for workers in (1, 2, None, 3):
         rows = table1_report(n_samples=n, seed=0, workers=workers)
         out = json.dumps(rows, indent=2, sort_keys=True) + "\n"
         assert hashlib.sha256(out.encode()).hexdigest() == (
             "c0bbe799a75861ceeb5d7dd21f0ec9238c1f32a0afdc0277d0ba0217de0f6ce3")
 
 
+def test_table1_shared_pool_matches_each_family_alone():
+    n = 2**18 + 10**4
+    rows = {r["name"]: r for r in table1_report(n_samples=n, seed=7, workers=2)}
+    for name, family, dim in ESTIMATED_FAMILIES:
+        alone = estimate_second_moment(make_lattice(family, dim, 1.0), n, seed=7, workers=1)
+        assert (rows[name]["G"], rows[name]["std_err"]) == (alone.G, alone.std_err), name
+
+
+def test_default_workers_follow_cpu_affinity(monkeypatch):
+    pools = []
+
+    class RecordingPool(ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(moments, "ThreadPoolExecutor", RecordingPool)
+    lat = make_lattice(ZN, 1, 1.0)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
+    estimate_second_moment(lat, 10**4, seed=0)
+    table1_report(n_samples=10**4, seed=0)
+    estimate_second_moment(lat, 10**4, seed=0, workers=2)     # an explicit count wins
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    estimate_second_moment(lat, 10**4, seed=0)
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    estimate_second_moment(lat, 10**4, seed=0)
+    assert pools == [3, 3, 2, 4, 1]
+
+
 def test_second_moment_peak_memory_below_one_chunk_draw():
+    # two chunks, so with two workers both are in flight at once
     lat = make_lattice(E8, 8, 1.0)
-    tracemalloc.start()
-    try:
-        estimate_second_moment(lat, 2**18, seed=0)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 2**18 * 8 * 8        # bytes of one chunk's (2^18, 8) draw
+    for workers in (1, 2):
+        tracemalloc.start()
+        try:
+            estimate_second_moment(lat, 2**19, seed=0, workers=workers)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**18 * 8 * 8, workers    # bytes of one chunk's (2^18, 8) draw
 
 
 def test_std_err_scaling():
