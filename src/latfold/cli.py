@@ -11,7 +11,7 @@ from pathlib import Path
 from .experiments import (ALGORITHMS, PRESETS, ExperimentConfig, emit_tables,
                           emit_trajectory_demo, quantize_bench, run_sweep)
 from .lattices import ConfigurationError
-from .moments import format_report_csv, format_report_text, table1_report
+from .moments import _worker_count, format_report_csv, format_report_text, table1_report
 
 
 def _seed(text: str) -> int:
@@ -65,6 +65,9 @@ def main(argv=None) -> int:
                     help="write the effective config JSON and exit")
     p2.add_argument("--strict", action="store_true",
                     help="exit nonzero when any cell reports an error")
+    p2.add_argument("--workers", type=int, default=None,
+                    help="worker processes that run the (OF, level) groups (default: "
+                         "one per usable CPU); the tables do not depend on it")
 
     p3 = sub.add_parser("demo2d", help="square vs hexagon 2D trajectory demo")
     _add_common(p3)
@@ -94,10 +97,11 @@ def main(argv=None) -> int:
             overrides = {"n_trials": args.trials, "algorithm": args.algorithm,
                          "hod_order": args.order, "master_seed": args.seed}
             cfg = replace(cfg, **{k: v for k, v in overrides.items() if v is not None})
+            workers = _worker_count(args.workers)       # not a config key
             if args.dump_config:
                 cfg.save(args.dump_config)
                 return 0
-            result = run_sweep(cfg)
+            result = run_sweep(cfg, workers)
             _write(emit_tables(result, fmt=args.format), args.out)
             bad = [c for c in result.cells if c.error]
             for c in bad:

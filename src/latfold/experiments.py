@@ -14,6 +14,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import threading
 import time
 import zlib
 from dataclasses import dataclass, asdict, fields, replace
@@ -23,11 +24,12 @@ from typing import ClassVar, Mapping, Optional
 import numpy as np
 from scipy.linalg import eigh
 
+from . import _blas_one_thread
 from .channels import (_check_bits, _check_snr, add_noise, fold_signal,
                        lattice_quantize, scalar_quantize)
 from .lattices import (A2, E8, ZN, ConfigurationError, ScaledLattice, _is_integer,
                        folds_to_zero, in_voronoi_cell, make_lattice, voronoi_cell_polygon)
-from .moments import ESTIMATED_FAMILIES, sample_uniform_cell
+from .moments import ESTIMATED_FAMILIES, _worker_count, sample_uniform_cell
 from .recovery import (b2r2_recover, build_oob_operator, check_recovery,
                        hod_recover, lasso_b2r2_recover)
 from .signals import SignalConfig, make_test_signal
@@ -400,20 +402,74 @@ def _run_group(cfg: ExperimentConfig, of, kind: str, level, lattice) -> list:
     return [_run_cell_trials(cfg, of, kind, level, arch, draws) for arch in cfg.architectures]
 
 
-def run_sweep(cfg: ExperimentConfig) -> ExperimentResult:
+def _group_runner(cfg: ExperimentConfig):
+    """``run((of, kind, level))``: that group's cells, each fold lattice built once per runner."""
+    lattice = functools.cache(lambda family: make_lattice(family, cfg.n_channels, cfg.lam))
+    return lambda group: _run_group(cfg, *group, lattice)
+
+
+# A pool task is pickled by name, and the runner is a closure over the config
+# and its lattice memo: the pool's initializer hands it to each forked worker
+# once, through fork, and the worker keeps it here. The parent never sets it.
+_worker_run = None
+
+
+def _adopt_runner(run) -> None:
+    global _worker_run
+    _worker_run = run
+
+
+def _run_in_worker(group) -> list:
+    return _worker_run(group)
+
+
+def _run_forked(run, groups: list, workers: int) -> list:
+    """``run`` of each group in a pool of ``workers`` forked processes, in order.
+
+    A forked worker inherits ``run`` (its lattice memo starts empty in each
+    worker) and the BLAS pin of ``import latfold``, without re-importing
+    anything. The highest OF, whose records are longest, is submitted first,
+    so no worker idles at the end on a costly group.
+    """
+    from concurrent.futures import ProcessPoolExecutor
+    from multiprocessing import get_context
+
+    order = sorted(range(len(groups)), key=lambda i: -groups[i][0])
+    pool = ProcessPoolExecutor(workers, mp_context=get_context("fork"),
+                               initializer=_adopt_runner, initargs=(run,))
+    try:
+        done = dict(zip(order, pool.map(_run_in_worker, [groups[i] for i in order])))
+    finally:
+        pool.shutdown(cancel_futures=True)          # joins every worker
+    return [done[i] for i in range(len(groups))]
+
+
+def run_sweep(cfg: ExperimentConfig, workers: int | None = None) -> ExperimentResult:
     """Run every (OF, level, architecture) cell of the sweep, in grid order.
 
     Per-trial seeds hash the cell coordinates and the trial index, so adding
     grid cells never perturbs existing ones. Each fold lattice is built once
-    per sweep and each draw once per group (``_run_group``); a trial that
+    per process and each draw once per group (``_run_group``); a trial that
     raises fails only its own cell.
+
+    The (OF, level) groups run in ``min(workers, groups)`` forked worker
+    processes, by default one per CPU this process may run on; ``workers``
+    must be an integer >= 1. They run here, in turn, when that is one, while
+    another thread runs (forking a threaded process is unsafe), or when numpy
+    was loaded before ``import latfold`` could pin BLAS to one thread. The
+    cells are byte-identical for every ``workers``, each cell's ``wall_time``
+    is measured in the process that ran it, and no worker outlives the call.
+    Each worker is about 50 MB resident, about 11 MB of it its own (fork
+    shares the rest with this process).
     """
-    lattice = functools.cache(lambda family: make_lattice(family, cfg.n_channels, cfg.lam))
-    cells = []
-    for of in cfg.of_list:
-        for kind, level in _levels(cfg):
-            cells += _run_group(cfg, of, kind, level, lattice)
-    return ExperimentResult(config=cfg, cells=tuple(cells))
+    groups = [(of, kind, level) for of in cfg.of_list for kind, level in _levels(cfg)]
+    workers = min(_worker_count(workers), len(groups))
+    run = _group_runner(cfg)
+    if workers > 1 and _blas_one_thread and threading.active_count() == 1:
+        per_group = _run_forked(run, groups, workers)
+    else:
+        per_group = [run(group) for group in groups]
+    return ExperimentResult(config=cfg, cells=tuple(c for cells in per_group for c in cells))
 
 
 # ---------------------------------------------------------------------------

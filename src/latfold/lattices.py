@@ -283,12 +283,6 @@ def folds_to_zero(x, lattice: ScaledLattice) -> bool:
     return not (between.any() and nearest_point(x[between], lattice).any())
 
 
-def is_lattice_point(lattice: ScaledLattice, v) -> bool:
-    """Membership test: basis coordinates integral to relative tolerance 1e-9."""
-    k = lattice.basis_inv @ np.atleast_2d(np.asarray(v, dtype=float)).T
-    return bool(np.all(np.abs(k - np.round(k)) <= 1e-9 * np.maximum(1.0, np.abs(k))))
-
-
 def snap_to_lattice(lattice: ScaledLattice, v) -> np.ndarray:
     """Round basis coordinates to integers and map back (exact cleanup)."""
     v = np.asarray(v, dtype=float)

@@ -53,7 +53,7 @@ def sample_uniform_cell(lattice: ScaledLattice, rng: np.random.Generator, size: 
 
 
 def _worker_count(workers) -> int:
-    """``workers`` threads, or by default one per CPU this process may run on."""
+    """``workers`` (threads or processes), by default one per CPU this process may run on."""
     if workers is None:
         try:
             return len(os.sched_getaffinity(0))

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
@@ -23,7 +24,7 @@ PUBLIC_API = [
     "build_oob_operator", "check_recovery", "emit_tables", "emit_trajectory_demo",
     "equivalent_gains", "estimate_second_moment", "fold", "fold_iterative",
     "fold_signal", "folds_to_zero", "hod_recover", "in_voronoi_cell",
-    "is_lattice_point", "lasso_b2r2_recover", "lattice_quantize", "make_lattice",
+    "lasso_b2r2_recover", "lattice_quantize", "make_lattice",
     "make_test_signal", "mse_ratio", "nearest_point", "predicted_mse",
     "quantize_bench", "relevant_vectors", "run_sweep", "sample_uniform_cell",
     "scalar_quantize", "snap_to_lattice", "table1_report", "table3_config",
@@ -47,7 +48,6 @@ PIPELINE_SIGNATURES = {
 # parameter is one a caller sets, and none has a default.
 FIXED_KNOB_SIGNATURES = {
     latfold.sample_uniform_cell: ["lattice", "rng", "size"],
-    latfold.is_lattice_point: ["lattice", "v"],
     latfold.in_voronoi_cell: ["lattice", "r"],
     latfold.fold_iterative: ["x", "lattice"],
     latfold.experiments.burst_signal: ["rng", "n_ch", "K", "m_max", "margin", "gamma",
@@ -66,6 +66,7 @@ EXPERIMENT_CONFIG_FIELDS = [
 SWEEP_OPTIONS = [
     "--algorithm", "--config", "--dump-config", "--format",
     "--help", "--order", "--out", "--preset", "--seed", "--strict", "--trials",
+    "--workers",
 ]
 
 
@@ -120,3 +121,25 @@ def test_python_dash_m_runs_the_cli():
     proc = _fresh_python(["-m", "latfold", "table1", "--samples", "10000", "--format", "csv"])
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("name,n,G,std_err")
+
+
+def test_fresh_sweep_same_for_one_and_two_workers():
+    argv = ["-m", "latfold", "sweep", "--preset", "quantization", "--trials", "2"]
+    with ThreadPoolExecutor(2) as ex:                   # the two interpreters at once
+        one, two = ex.map(lambda w: _fresh_python([*argv, "--workers", w]), ("1", "2"))
+    assert one.returncode == two.returncode == 0, one.stderr + two.stderr
+    assert one.stdout == two.stdout and one.stdout.startswith("of ")
+    assert two.stderr == ""
+
+
+def test_sweep_forks_no_worker_when_numpy_loaded_first():
+    # the BLAS pin of `import latfold` then comes too late, and each forked
+    # worker would spin up its own BLAS threads
+    code = ("import numpy, os, latfold\n"
+            "def fork(): raise AssertionError('forked a worker')\n"
+            "os.fork = fork\n"
+            "cfg = latfold.ExperimentConfig(of_list=(6, 8), snr_db_list=(None,), n_trials=1)\n"
+            "print([c.rate for c in latfold.run_sweep(cfg, workers=2).cells])")
+    proc = _fresh_python(["-c", code])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[1.0, 1.0, 1.0, 1.0]"

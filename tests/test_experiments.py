@@ -2,7 +2,10 @@ import dataclasses
 import hashlib
 import json
 import math
+import multiprocessing
+import os
 import re
+import threading
 
 import numpy as np
 import pytest
@@ -132,6 +135,8 @@ def test_cli_sweep_config_and_preset_exclusive(tmp_path, capsys):
     *[([command, "--seed", "-1"], "seed must be a non-negative integer, got '-1'")
       for command in ("table1", "sweep", "demo2d", "quantize-bench")],
     (["sweep", "--seed", "4294967296"], "master_seed must be in 0..4294967295, got 4294967296"),
+    (["sweep", "--workers", "0"], "workers must be an integer >= 1, got 0"),
+    (["sweep", "--workers", "-3"], "workers must be an integer >= 1, got -3"),
 ])
 def test_cli_bad_input_exits_2_before_any_output(argv, named, tmp_path, capsys):
     bad = tmp_path / "bad.json"
@@ -366,9 +371,9 @@ def test_noise_seed_built_only_for_snr_cells(monkeypatch):
     monkeypatch.setattr(experiments, "noise_seed",
                         lambda *a: calls.append(a) or original(*a))
     run_sweep(_tiny_config(snr_db_list=(), bits_list=(6, None), n_trials=2,
-                           architectures=("sq+sqq", "e8+e8q")))
+                           architectures=("sq+sqq", "e8+e8q")), workers=1)
     assert calls == []
-    run_sweep(_tiny_config(snr_db_list=(25, None), n_trials=2))
+    run_sweep(_tiny_config(snr_db_list=(25, None), n_trials=2), workers=1)
     assert sorted({a[2] for a in calls}) == ["snr"]
     assert len(calls) == 2 * 2                # architectures x trials
 
@@ -410,7 +415,8 @@ def test_shared_draws_leave_rows_unchanged(monkeypatch):
                 master_seed=2)
 
     def rows(archs, arch):
-        out = emit_tables(run_sweep(ExperimentConfig(architectures=archs, **grid)), "csv")
+        out = emit_tables(run_sweep(ExperimentConfig(architectures=archs, **grid), workers=1),
+                          "csv")
         return [r for r in out.splitlines() if f",{arch}," in r]
 
     alone = rows(("e8+e8q",), "e8+e8q")
@@ -444,6 +450,77 @@ def test_failed_draws_stay_cell_errors(monkeypatch):
     square, e8 = run_sweep(_tiny_config()).cells
     assert square.error is None and square.rate == 1.0
     assert e8.error == "ConfigurationError: could not draw a fold-free margin signal"
+
+
+# one grid per recovery path; OF 8 comes first in the pool, not in the grid
+_POOL_GRIDS = {
+    "additive": dict(of_list=(4, 8), snr_db_list=(25, None), architectures=("square", "e8")),
+    "quantization": dict(of_list=(6, 8), snr_db_list=(), bits_list=(4, 8),
+                         architectures=("sq+sqq", "e8+sqq", "e8+e8q")),
+    "hod": dict(of_list=(6, 8), snr_db_list=(30, None), algorithm="hod"),
+}
+
+
+@pytest.mark.parametrize("grid", sorted(_POOL_GRIDS))
+def test_tables_same_for_every_worker_count(grid):
+    cfg = _tiny_config(n_trials=1, master_seed=4, **_POOL_GRIDS[grid])
+    tables = {w: [emit_tables(run_sweep(cfg, workers=w), fmt) for fmt in ("csv", "json")]
+              for w in (1, 2, 7)}                     # 7: more workers than the 4 groups
+    assert tables[2] == tables[1] and tables[7] == tables[1]
+    assert multiprocessing.active_children() == []
+
+
+def _fail_e8_at_of8(monkeypatch):
+    """Make every e8 trial at OF 8 raise, naming the process that ran it."""
+    import latfold.experiments as experiments
+    original = experiments.run_trial
+
+    def run_trial(cfg, of, kind, level, arch, *a):
+        if arch == "e8" and of == 8:
+            raise RuntimeError(f"trial in process {os.getpid()}")
+        return original(cfg, of, kind, level, arch, *a)
+
+    monkeypatch.setattr(experiments, "run_trial", run_trial)     # forked workers inherit it
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_cell_error_in_worker_stays_that_cell(workers, monkeypatch):
+    _fail_e8_at_of8(monkeypatch)
+    cells = run_sweep(_tiny_config(of_list=(6, 8), snr_db_list=(25, None), n_trials=2),
+                      workers=workers).cells
+    assert multiprocessing.active_children() == []
+    failed = [c for c in cells if c.error]
+    assert [(c.of, c.architecture) for c in failed] == [(8, "e8")] * 2
+    assert all(c.n_success == 0 and c.mse_mean is None for c in failed)
+    assert all(c.error is None for c in cells if c not in failed)
+    pids = {int(c.error.rsplit(" ", 1)[1]) for c in failed}
+    if workers == 1:
+        assert pids == {os.getpid()}
+    else:
+        assert os.getpid() not in pids                  # the forked workers ran them
+
+
+def test_sweep_forks_no_worker_while_another_thread_runs(monkeypatch):
+    _fail_e8_at_of8(monkeypatch)
+    release = threading.Event()
+    other = threading.Thread(target=release.wait)
+    other.start()
+    try:
+        cells = run_sweep(_tiny_config(of_list=(6, 8), n_trials=2), workers=2).cells
+    finally:
+        release.set()
+        other.join(timeout=10)
+    assert not other.is_alive()
+    assert [c.error for c in cells if c.error] == [f"RuntimeError: trial in process {os.getpid()}"]
+
+
+def test_cli_strict_sweep_leaves_no_worker(monkeypatch, tmp_path, capsys):
+    _fail_e8_at_of8(monkeypatch)
+    cfg_path = tmp_path / "cfg.json"
+    _tiny_config(of_list=(6, 8), n_trials=2).save(cfg_path)
+    assert main(["sweep", "--config", str(cfg_path), "--workers", "2", "--strict"]) == 1
+    assert multiprocessing.active_children() == []
+    assert "cell error: OF=8 clean=None e8: RuntimeError" in capsys.readouterr().err
 
 
 def test_emit_csv_byte_stable():

@@ -5,8 +5,8 @@ import pytest
 
 from latfold import (A2, DN, E8, ZN, ConfigurationError, InputRangeError,
                      NonFiniteInputError, UnsupportedLatticeError, fold,
-                     fold_iterative, folds_to_zero, in_voronoi_cell, is_lattice_point,
-                     make_lattice, nearest_point, relevant_vectors, voronoi_cell_polygon)
+                     fold_iterative, folds_to_zero, in_voronoi_cell, make_lattice,
+                     nearest_point, relevant_vectors, snap_to_lattice, voronoi_cell_polygon)
 from oracles import closest_point
 
 UNIT_E8 = 1.0 / np.sqrt(2.0)   # inradius that puts dn/e8 at unit-lattice scale
@@ -360,8 +360,13 @@ def test_lattice_membership():
         lat = make_lattice(fam, n, 0.9)
         k = np.arange(1, n + 1, dtype=float)
         v = lat.basis @ k
-        assert is_lattice_point(lat, v)
-        assert not is_lattice_point(lat, v + 0.01 * lat.lam)
+        assert np.allclose(snap_to_lattice(lat, v), v, rtol=1e-12, atol=1e-12)
+        assert not np.allclose(snap_to_lattice(lat, v + 0.01 * lat.lam), v + 0.01 * lat.lam,
+                               rtol=1e-12, atol=1e-12)
+    # far from the origin: a tolerance of 1e-9 per basis coordinate rejects this point
+    lat = make_lattice(DN, 4, 0.7)
+    v = lat.basis @ np.array([2.0**40, 0, 0, 0])
+    assert np.allclose(snap_to_lattice(lat, v), v, rtol=1e-12, atol=1e-12)
 
 
 # -------------------------------------------------------- relevant vectors
@@ -396,7 +401,7 @@ def test_relevant_vectors_all_lattice_points():
     for fam, n in [(ZN, 2), (A2, 2), (DN, 4), (E8, 8)]:
         lat = make_lattice(fam, n, 1.0)
         for v in relevant_vectors(lat):
-            assert is_lattice_point(lat, v)
+            assert np.allclose(snap_to_lattice(lat, v), v, rtol=1e-12, atol=1e-12)
 
 
 def _pm_pairs(n):

@@ -11,7 +11,7 @@ from latfold import (A2, ConfigurationError, E8, ZN, NonFiniteInputError,
                      lasso_b2r2_recover, make_lattice, make_test_signal)
 from latfold.channels import add_noise, lattice_quantize, scalar_quantize
 from latfold.experiments import ACTIVE_SCHEDULE, draw_margin_trial
-from latfold.lattices import nearest_point
+from latfold.lattices import nearest_point, snap_to_lattice
 from latfold import recovery
 from latfold.recovery import (CONFIDENCE, MAX_ROUNDS, RCOND, OobOperator,
                               _b2r2_lstsq, _window_factor, _window_solve)
@@ -185,8 +185,7 @@ def test_b2r2_unfold_identity():
     oob = build_oob_operator(K, 9.5, 120.0, guard=0.04)
     out = b2r2_recover(y, lat, oob, support_margin=margin)
     assert np.allclose(out.f_hat - y, out.p_hat, atol=1e-12)
-    from latfold import is_lattice_point
-    assert is_lattice_point(lat, out.p_hat)
+    assert np.allclose(snap_to_lattice(lat, out.p_hat), out.p_hat, rtol=1e-12, atol=1e-12)
 
 
 def test_b2r2_equivariance_to_lattice_shift():
