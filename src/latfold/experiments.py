@@ -402,12 +402,6 @@ def _run_group(cfg: ExperimentConfig, of, kind: str, level, lattice) -> list:
     return [_run_cell_trials(cfg, of, kind, level, arch, draws) for arch in cfg.architectures]
 
 
-def _group_runner(cfg: ExperimentConfig):
-    """``run((of, kind, level))``: that group's cells, each fold lattice built once per runner."""
-    lattice = functools.cache(lambda family: make_lattice(family, cfg.n_channels, cfg.lam))
-    return lambda group: _run_group(cfg, *group, lattice)
-
-
 # A pool task is pickled by name, and the runner is a closure over the config
 # and its lattice memo: the pool's initializer hands it to each forked worker
 # once, through fork, and the worker keeps it here. The parent never sets it.
@@ -464,7 +458,11 @@ def run_sweep(cfg: ExperimentConfig, workers: int | None = None) -> ExperimentRe
     """
     groups = [(of, kind, level) for of in cfg.of_list for kind, level in _levels(cfg)]
     workers = min(_worker_count(workers), len(groups))
-    run = _group_runner(cfg)
+    lattice = functools.cache(lambda family: make_lattice(family, cfg.n_channels, cfg.lam))
+
+    def run(group) -> list:
+        return _run_group(cfg, *group, lattice)
+
     if workers > 1 and _blas_one_thread and threading.active_count() == 1:
         per_group = _run_forked(run, groups, workers)
     else:
