@@ -73,6 +73,10 @@ def main(argv=None) -> int:
     _add_common(p3)
     p3.add_argument("--lam", type=float, default=1.0)
     p3.add_argument("--power-trials", type=int, default=200)
+    p3.add_argument("--workers", type=int, default=None,
+                    help="worker processes that run the square, the hexagon and the "
+                         "power ratio (default: one per usable CPU); the outputs do "
+                         "not depend on it")
 
     p4 = sub.add_parser("quantize-bench", help="matched/mismatched quantizer check")
     _add_common(p4)
@@ -111,7 +115,8 @@ def main(argv=None) -> int:
 
         if args.command == "demo2d":
             summary = emit_trajectory_demo(args.out or "demo2d_out", seed=args.seed,
-                                           lam=args.lam, power_trials=args.power_trials)
+                                           lam=args.lam, power_trials=args.power_trials,
+                                           workers=args.workers)
             sys.stdout.write(json.dumps(summary, indent=2, sort_keys=True) + "\n")
             return 0
 

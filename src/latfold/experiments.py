@@ -402,9 +402,10 @@ def _run_group(cfg: ExperimentConfig, of, kind: str, level, lattice) -> list:
     return [_run_cell_trials(cfg, of, kind, level, arch, draws) for arch in cfg.architectures]
 
 
-# A pool task is pickled by name, and the runner is a closure over the config
-# and its lattice memo: the pool's initializer hands it to each forked worker
-# once, through fork, and the worker keeps it here. The parent never sets it.
+# A pool task is pickled, but the runner is a closure (over the sweep's config
+# and lattice memo, or the demo's lattices): the pool's initializer hands it to
+# each forked worker once, through fork, and the worker keeps it here. The
+# parent never sets it.
 _worker_run = None
 
 
@@ -413,29 +414,33 @@ def _adopt_runner(run) -> None:
     _worker_run = run
 
 
-def _run_in_worker(group) -> list:
-    return _worker_run(group)
+def _run_in_worker(task):
+    return _worker_run(task)
 
 
-def _run_forked(run, groups: list, workers: int) -> list:
-    """``run`` of each group in a pool of ``workers`` forked processes, in order.
+def _run_forked(run, tasks: list, workers: int) -> list:
+    """``run`` of each task, submitted in the order given, in forked processes.
 
-    A forked worker inherits ``run`` (its lattice memo starts empty in each
-    worker) and the BLAS pin of ``import latfold``, without re-importing
-    anything. The highest OF, whose records are longest, is submitted first,
-    so no worker idles at the end on a costly group.
+    The pool holds ``min(workers, tasks)`` processes, and the results come
+    back in task order. A forked worker inherits ``run`` (a memo in it starts
+    empty in each worker) and the BLAS pin of ``import latfold``, without
+    re-importing anything. The tasks run here, in turn, when the pool would
+    hold one process, while another thread runs (forking a threaded process
+    is unsafe), or when numpy was loaded before ``import latfold`` could pin
+    BLAS to one thread. No worker outlives the call.
     """
+    workers = min(workers, len(tasks))
+    if workers <= 1 or not _blas_one_thread or threading.active_count() > 1:
+        return [run(task) for task in tasks]
     from concurrent.futures import ProcessPoolExecutor
     from multiprocessing import get_context
 
-    order = sorted(range(len(groups)), key=lambda i: -groups[i][0])
     pool = ProcessPoolExecutor(workers, mp_context=get_context("fork"),
                                initializer=_adopt_runner, initargs=(run,))
     try:
-        done = dict(zip(order, pool.map(_run_in_worker, [groups[i] for i in order])))
+        return list(pool.map(_run_in_worker, tasks))
     finally:
         pool.shutdown(cancel_futures=True)          # joins every worker
-    return [done[i] for i in range(len(groups))]
 
 
 def run_sweep(cfg: ExperimentConfig, workers: int | None = None) -> ExperimentResult:
@@ -446,28 +451,26 @@ def run_sweep(cfg: ExperimentConfig, workers: int | None = None) -> ExperimentRe
     per process and each draw once per group (``_run_group``); a trial that
     raises fails only its own cell.
 
-    The (OF, level) groups run in ``min(workers, groups)`` forked worker
-    processes, by default one per CPU this process may run on; ``workers``
-    must be an integer >= 1. They run here, in turn, when that is one, while
-    another thread runs (forking a threaded process is unsafe), or when numpy
-    was loaded before ``import latfold`` could pin BLAS to one thread. The
-    cells are byte-identical for every ``workers``, each cell's ``wall_time``
-    is measured in the process that ran it, and no worker outlives the call.
-    Each worker is about 50 MB resident, about 11 MB of it its own (fork
-    shares the rest with this process).
+    The (OF, level) groups run through ``_run_forked``, by default in one
+    worker process per CPU this process may run on; ``workers`` must be an
+    integer >= 1. The highest OF, whose records are longest, is submitted
+    first, so no worker idles at the end on a costly group. The cells are
+    byte-identical for every ``workers``, and each cell's ``wall_time`` is
+    measured in the process that ran it. Each worker is about 50 MB
+    resident, about 11 MB of it its own (fork shares the rest with this
+    process).
     """
     groups = [(of, kind, level) for of in cfg.of_list for kind, level in _levels(cfg)]
-    workers = min(_worker_count(workers), len(groups))
+    workers = _worker_count(workers)
     lattice = functools.cache(lambda family: make_lattice(family, cfg.n_channels, cfg.lam))
 
     def run(group) -> list:
         return _run_group(cfg, *group, lattice)
 
-    if workers > 1 and _blas_one_thread and threading.active_count() == 1:
-        per_group = _run_forked(run, groups, workers)
-    else:
-        per_group = [run(group) for group in groups]
-    return ExperimentResult(config=cfg, cells=tuple(c for cells in per_group for c in cells))
+    order = sorted(range(len(groups)), key=lambda i: -groups[i][0])
+    done = dict(zip(order, _run_forked(run, [groups[i] for i in order], workers)))
+    return ExperimentResult(config=cfg,
+                            cells=tuple(c for i in range(len(groups)) for c in done[i]))
 
 
 # ---------------------------------------------------------------------------
@@ -536,44 +539,78 @@ def _start_in_cell_signal(cfg: SignalConfig, lattice: ScaledLattice):
     raise DemoRecoveryError("no start-in-cell signal found")
 
 
+def _recover_geometry(cfg: SignalConfig, name: str, lattice: ScaledLattice):
+    """One demo geometry: draw the start-in-cell signal, fold, check, recover.
+
+    Returns the signal, its fold, the LASSO reconstruction and the summary
+    entry; raises DemoRecoveryError when reconstruction misses machine
+    precision.
+    """
+    f, band = _start_in_cell_signal(cfg, lattice)
+    y, _ = fold_signal(f, lattice)
+    if not in_voronoi_cell(lattice, y):
+        raise DemoRecoveryError(f"{name}: folded samples left the cell")
+    oob = build_oob_operator(len(f), band, cfg.fs, 0.05)
+    result = lasso_b2r2_recover(y, lattice, oob)
+    err = float(np.abs(result.f_hat - f).max())
+    peak = float(np.abs(f).max())
+    if err > 1e-8 * peak:
+        raise DemoRecoveryError(
+            f"{name}: reconstruction error {err:.3e} exceeds 1e-8 * peak "
+            f"(peak {peak:.3f}, iterations {result.iterations})")
+    return f, y, result.f_hat, {"max_error": err, "peak": peak,
+                                "iterations": result.iterations}
+
+
 def emit_trajectory_demo(outdir, seed: int = 0, lam: float = 1.0,
-                         power_trials: int = 200) -> dict:
+                         power_trials: int = 200, workers: int | None = None) -> dict:
     """Square vs hexagon folding of the 2D complex demo signal.
 
     Writes per-geometry trajectory CSVs (original, folded, recovered), the
     Voronoi cell outlines, and returns a summary including the folded-power
     ratio over a fresh ensemble. Raises DemoRecoveryError if either
     geometry misses machine-precision reconstruction.
+
+    The square, the hexagon and the power ratio are three tasks of
+    ``_run_forked``, by default in one worker process per CPU this process
+    may run on; ``workers`` must be an integer >= 1. The files and the
+    summary are byte-identical for every ``workers``: bad input raises before
+    any file is written, and a failed task raises here, in the order the
+    serial steps ran, after the files of the geometries before it.
     """
-    # first, so that a bad lam or power_trials raises before any file is written
-    summary = {"power_ratio": demo_power_ratio(lam=lam, n_trials=power_trials, seed=seed)}
+    if not (_is_integer(power_trials) and power_trials >= 1):
+        raise ConfigurationError(f"power_trials must be an integer >= 1, got {power_trials!r}")
+    geometries = {"square": make_lattice(ZN, 2, lam), "hexagon": make_lattice(A2, 2, lam)}
+    workers = _worker_count(workers)
+    cfg = demo2d_config(seed)
+
+    def run(task):
+        try:
+            if task == "power_ratio":
+                return demo_power_ratio(lam=lam, n_trials=power_trials, seed=seed)
+            return _recover_geometry(cfg, task, geometries[task])
+        except Exception as exc:        # raised below, in the serial order
+            return exc
+
+    tasks = [*geometries, "power_ratio"]            # the costly LASSO recoveries start first
+    done = dict(zip(tasks, _run_forked(run, tasks, workers)))
+    if isinstance(done["power_ratio"], Exception):
+        raise done["power_ratio"]
+    summary = {"power_ratio": done["power_ratio"]}
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    cfg = demo2d_config(seed)
-    for name, family in (("square", ZN), ("hexagon", A2)):
-        lattice = make_lattice(family, 2, lam)
-        f, band = _start_in_cell_signal(cfg, lattice)
-        y, _ = fold_signal(f, lattice)
-        if not in_voronoi_cell(lattice, y):
-            raise DemoRecoveryError(f"{name}: folded samples left the cell")
-        oob = build_oob_operator(len(f), band, cfg.fs, 0.05)
-        result = lasso_b2r2_recover(y, lattice, oob)
-        err = float(np.abs(result.f_hat - f).max())
-        peak = float(np.abs(f).max())
-        if err > 1e-8 * peak:
-            raise DemoRecoveryError(
-                f"{name}: reconstruction error {err:.3e} exceeds 1e-8 * peak "
-                f"(peak {peak:.3f}, iterations {result.iterations})")
+    for name, lattice in geometries.items():
+        if isinstance(done[name], Exception):
+            raise done[name]
+        f, y, f_hat, summary[name] = done[name]
         t = np.arange(len(f)) / cfg.fs
-        data = np.column_stack([t, f, y, result.f_hat])
+        data = np.column_stack([t, f, y, f_hat])
         header = "t,orig0,orig1,folded0,folded1,rec0,rec1"
         np.savetxt(outdir / f"demo2d_{name}.csv", data, delimiter=",",
                    header=header, comments="", fmt="%.12g")
         poly = voronoi_cell_polygon(lattice)
         np.savetxt(outdir / f"cell_{name}.csv", poly, delimiter=",",
                    header="x,y", comments="", fmt="%.12g")
-        summary[name] = {"max_error": err, "peak": peak,
-                         "iterations": result.iterations}
 
     (outdir / "demo2d_summary.json").write_text(
         json.dumps(summary, indent=2, sort_keys=True) + "\n")

@@ -29,6 +29,9 @@ class RecoveryNumericalError(RuntimeError):
         super().__init__(f"objective became non-finite at iteration {iteration}")
         self.iteration = iteration
 
+    def __reduce__(self):           # rebuild from the index, not the message
+        return type(self), (self.iteration,)
+
 
 @dataclass(frozen=True)
 class OobOperator:

@@ -1,6 +1,8 @@
 import dataclasses
+import importlib
 import inspect
 import os
+import pickle
 import re
 import subprocess
 import sys
@@ -99,6 +101,28 @@ def test_sweep_options(capsys):
     assert sorted(shown) == SWEEP_OPTIONS
 
 
+def _exception_classes() -> list:
+    """Every exception class that a ``latfold`` module defines."""
+    found = set()
+    for name in ("channels", "experiments", "lattices", "moments", "recovery", "signals"):
+        module = importlib.import_module(f"latfold.{name}")
+        found.update(v for v in vars(module).values() if isinstance(v, type)
+                     and issubclass(v, Exception) and v.__module__ == module.__name__)
+    return sorted(found, key=lambda cls: cls.__name__)
+
+
+def test_every_exception_survives_pickling():
+    # a forked worker sends its errors back pickled
+    classes = _exception_classes()
+    assert {"DemoRecoveryError", "RecoveryNumericalError"} <= {c.__name__ for c in classes}
+    for cls in classes:
+        exc = cls(7) if cls is latfold.RecoveryNumericalError else cls("bad value 7")
+        back = pickle.loads(pickle.dumps(exc))
+        assert type(back) is cls
+        assert (str(back), back.args, vars(back)) == (str(exc), exc.args, vars(exc))
+    assert pickle.loads(pickle.dumps(latfold.RecoveryNumericalError(7))).iteration == 7
+
+
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
@@ -130,6 +154,41 @@ def test_fresh_sweep_same_for_one_and_two_workers():
     assert one.returncode == two.returncode == 0, one.stderr + two.stderr
     assert one.stdout == two.stdout and one.stdout.startswith("of ")
     assert two.stderr == ""
+
+
+def test_fresh_demo2d_same_for_one_and_two_workers(tmp_path):
+    def demo(workers):
+        out = tmp_path / workers
+        proc = _fresh_python(["-m", "latfold", "demo2d", "--power-trials", "20",
+                              "--out", str(out), "--workers", workers])
+        return proc, {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+    with ThreadPoolExecutor(2) as ex:                   # the two interpreters at once
+        (one, one_files), (two, two_files) = ex.map(demo, ("1", "2"))
+    assert one.returncode == two.returncode == 0, one.stderr + two.stderr
+    assert one.stdout == two.stdout and '"power_ratio"' in one.stdout
+    assert one_files == two_files and len(one_files) == 5
+    assert two.stderr == ""
+
+
+def test_import_loads_no_process_pool():
+    code = ("import sys, latfold\n"
+            "print([m for m in ('multiprocessing', 'concurrent.futures.process')"
+            " if m in sys.modules])")
+    proc = _fresh_python(["-c", code])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_demo2d_forks_no_worker_when_numpy_loaded_first(tmp_path):
+    code = ("import numpy, os, sys, latfold\n"
+            "def fork(): raise AssertionError('forked a worker')\n"
+            "os.fork = fork\n"
+            "s = latfold.emit_trajectory_demo(sys.argv[1], power_trials=20, workers=2)\n"
+            "print(s['square']['iterations'] > 0, s['hexagon']['iterations'] > 0)")
+    proc = _fresh_python(["-c", code, str(tmp_path)])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "True True"
 
 
 def test_sweep_forks_no_worker_when_numpy_loaded_first():

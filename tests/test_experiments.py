@@ -1,10 +1,12 @@
 import dataclasses
+import functools
 import hashlib
 import json
 import math
 import multiprocessing
 import os
 import re
+import sys
 import threading
 
 import numpy as np
@@ -128,7 +130,7 @@ def test_cli_sweep_config_and_preset_exclusive(tmp_path, capsys):
     (["table1", "--workers", "-3"], "workers must be an integer >= 1, got -3"),
     (["demo2d", "--lam", "-1"], "inradius must be positive and finite, got -1.0"),
     (["demo2d", "--lam", "nan"], "inradius must be positive and finite, got nan"),
-    (["demo2d", "--power-trials", "0"], "n_trials must be an integer >= 1, got 0"),
+    (["demo2d", "--power-trials", "0"], "power_trials must be an integer >= 1, got 0"),
     (["quantize-bench", "--bits", "2,x"], "'2,x'"),
     (["quantize-bench", "--bits", "30"], "bits must be an integer in 1..24, got 30"),
     (["sweep", "--config", "NOT_UTF8"], "NOT_UTF8: not valid JSON"),
@@ -137,6 +139,8 @@ def test_cli_sweep_config_and_preset_exclusive(tmp_path, capsys):
     (["sweep", "--seed", "4294967296"], "master_seed must be in 0..4294967295, got 4294967296"),
     (["sweep", "--workers", "0"], "workers must be an integer >= 1, got 0"),
     (["sweep", "--workers", "-3"], "workers must be an integer >= 1, got -3"),
+    (["demo2d", "--workers", "0"], "workers must be an integer >= 1, got 0"),
+    (["demo2d", "--workers", "-3"], "workers must be an integer >= 1, got -3"),
 ])
 def test_cli_bad_input_exits_2_before_any_output(argv, named, tmp_path, capsys):
     bad = tmp_path / "bad.json"
@@ -600,6 +604,47 @@ def test_demo2d_outputs_pinned(tmp_path):
         got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
                for p in out.iterdir()}
         assert got == {**cells, **digests}
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_demo2d_outputs_pinned_for_every_worker_count(workers, tmp_path, monkeypatch):
+    # the pinned digests above, with the demo run in-process and forked
+    monkeypatch.setattr(sys.modules[__name__], "emit_trajectory_demo",
+                        functools.partial(emit_trajectory_demo, workers=workers))
+    test_demo2d_outputs_pinned(tmp_path)
+    assert multiprocessing.active_children() == []
+
+
+def test_demo2d_failure_same_for_every_worker_count(tmp_path):
+    # seed 138 fails on the hexagon: the square's files stay, as in serial order
+    seen = {}
+    for workers in (1, 2):
+        out = tmp_path / str(workers)
+        with pytest.raises(DemoRecoveryError) as exc:
+            emit_trajectory_demo(out, seed=138, lam=1.0, power_trials=20, workers=workers)
+        assert multiprocessing.active_children() == []
+        seen[workers] = (str(exc.value), {p.name: p.read_bytes() for p in out.iterdir()})
+    assert seen[2] == seen[1]
+    assert seen[1][0].startswith("hexagon: reconstruction error")
+    assert sorted(seen[1][1]) == ["cell_square.csv", "demo2d_square.csv"]
+
+
+def test_demo2d_forks_no_worker_while_another_thread_runs(tmp_path, monkeypatch):
+    def fork():
+        raise AssertionError("forked a worker")
+
+    monkeypatch.setattr(os, "fork", fork)
+    release = threading.Event()
+    other = threading.Thread(target=release.wait)
+    other.start()
+    try:
+        summary = emit_trajectory_demo(tmp_path, seed=0, lam=1.0, power_trials=20, workers=2)
+    finally:
+        release.set()
+        other.join(timeout=10)
+    assert not other.is_alive()
+    assert summary == json.loads((tmp_path / "demo2d_summary.json").read_text())
+    assert multiprocessing.active_children() == []
 
 
 @pytest.mark.xfail(strict=True, raises=DemoRecoveryError,
