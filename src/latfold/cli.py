@@ -8,10 +8,10 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .experiments import (ALGORITHMS, PRESETS, ExperimentConfig, emit_tables,
+from .experiments import (ALGORITHMS, PRESETS, ExperimentConfig, _writing, emit_tables,
                           emit_trajectory_demo, quantize_bench, run_sweep)
 from .lattices import ConfigurationError
-from .moments import _worker_count, format_report_csv, format_report_text, table1_report
+from .moments import format_report_csv, format_report_text, table1_report
 
 
 def _seed(text: str) -> int:
@@ -28,7 +28,8 @@ def _add_common(p):
 def _write(out: str, path) -> None:
     """Write ``out`` to the file ``path``, or to stdout when no path is given."""
     if path:
-        Path(path).write_text(out)
+        with _writing(path):
+            Path(path).write_text(out)
     else:
         sys.stdout.write(out)
 
@@ -47,9 +48,6 @@ def main(argv=None) -> int:
     _add_common(p1)
     p1.add_argument("--format", choices=("csv", "json", "text"), default="text")
     p1.add_argument("--samples", type=int, default=10**6)
-    p1.add_argument("--workers", type=int, default=None,
-                    help="threads that estimate chunks in parallel (default: "
-                         "one per usable CPU); the table does not depend on it")
 
     p2 = sub.add_parser("sweep", help="Monte Carlo recovery-rate sweep")
     _add_common(p2)
@@ -65,18 +63,11 @@ def main(argv=None) -> int:
                     help="write the effective config JSON and exit")
     p2.add_argument("--strict", action="store_true",
                     help="exit nonzero when any cell reports an error")
-    p2.add_argument("--workers", type=int, default=None,
-                    help="worker processes that run the (OF, level) groups (default: "
-                         "one per usable CPU); the tables do not depend on it")
 
     p3 = sub.add_parser("demo2d", help="square vs hexagon 2D trajectory demo")
     _add_common(p3)
     p3.add_argument("--lam", type=float, default=1.0)
     p3.add_argument("--power-trials", type=int, default=200)
-    p3.add_argument("--workers", type=int, default=None,
-                    help="worker processes that run the square, the hexagon and the "
-                         "power ratio (default: one per usable CPU); the outputs do "
-                         "not depend on it")
 
     p4 = sub.add_parser("quantize-bench", help="matched/mismatched quantizer check")
     _add_common(p4)
@@ -86,8 +77,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:                    # bad input of any command: exit 2, naming it
         if args.command == "table1":
-            rows = table1_report(n_samples=args.samples, seed=args.seed,
-                                 workers=args.workers)
+            rows = table1_report(n_samples=args.samples, seed=args.seed)
             if args.format == "json":
                 out = json.dumps(rows, indent=2, sort_keys=True) + "\n"
             else:
@@ -101,11 +91,10 @@ def main(argv=None) -> int:
             overrides = {"n_trials": args.trials, "algorithm": args.algorithm,
                          "hod_order": args.order, "master_seed": args.seed}
             cfg = replace(cfg, **{k: v for k, v in overrides.items() if v is not None})
-            workers = _worker_count(args.workers)       # not a config key
             if args.dump_config:
                 cfg.save(args.dump_config)
                 return 0
-            result = run_sweep(cfg, workers)
+            result = run_sweep(cfg)
             _write(emit_tables(result, fmt=args.format), args.out)
             bad = [c for c in result.cells if c.error]
             for c in bad:
@@ -115,8 +104,7 @@ def main(argv=None) -> int:
 
         if args.command == "demo2d":
             summary = emit_trajectory_demo(args.out or "demo2d_out", seed=args.seed,
-                                           lam=args.lam, power_trials=args.power_trials,
-                                           workers=args.workers)
+                                           lam=args.lam, power_trials=args.power_trials)
             sys.stdout.write(json.dumps(summary, indent=2, sort_keys=True) + "\n")
             return 0
 

@@ -11,6 +11,7 @@ and bit-depth range.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import json
 import math
@@ -190,7 +191,11 @@ class ExperimentConfig:
                 raise ConfigurationError(f"{name} {again[0]!r} is repeated in the grid")
         codes = {}          # the seeds see a level only through its code
         for kind, level in _levels(self):
-            key = (kind, _level_code(level))
+            try:
+                key = (kind, _level_code(level))
+            except OverflowError:
+                raise ConfigurationError(f"{kind} level {level!r} is too large for a trial "
+                                         "seed") from None
             if key in codes:
                 raise ConfigurationError(f"{kind} levels {codes[key]!r} and {level!r} share "
                                          f"their trial seeds (level code {key[1]})")
@@ -224,7 +229,8 @@ class ExperimentConfig:
         return cls(**d)
 
     def save(self, path) -> None:
-        Path(path).write_text(json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n")
+        with _writing(path):
+            Path(path).write_text(json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n")
 
     @classmethod
     def load(cls, path) -> "ExperimentConfig":
@@ -237,6 +243,15 @@ class ExperimentConfig:
             raise ConfigurationError(f"{path}: not valid JSON: {exc}") from None
         except ConfigurationError as exc:
             raise ConfigurationError(f"{path}: {exc}") from None
+
+
+@contextlib.contextmanager
+def _writing(path):
+    """Turn a failed write to ``path`` into a ConfigurationError naming it."""
+    try:
+        yield
+    except OSError as exc:
+        raise ConfigurationError(f"cannot write {path}: {exc.strerror}") from None
 
 
 def _levels(cfg: ExperimentConfig) -> list:
@@ -418,18 +433,19 @@ def _run_in_worker(task):
     return _worker_run(task)
 
 
-def _run_forked(run, tasks: list, workers: int) -> list:
+def _run_forked(run, tasks: list) -> list:
     """``run`` of each task, submitted in the order given, in forked processes.
 
-    The pool holds ``min(workers, tasks)`` processes, and the results come
-    back in task order. A forked worker inherits ``run`` (a memo in it starts
-    empty in each worker) and the BLAS pin of ``import latfold``, without
-    re-importing anything. The tasks run here, in turn, when the pool would
-    hold one process, while another thread runs (forking a threaded process
-    is unsafe), or when numpy was loaded before ``import latfold`` could pin
-    BLAS to one thread. No worker outlives the call.
+    The pool holds one process per CPU this process may run on, at most one
+    per task, and the results come back in task order. A forked worker
+    inherits ``run`` (a memo in it starts empty in each worker) and the BLAS
+    pin of ``import latfold``, without re-importing anything. The tasks run
+    here, in turn, when the pool would hold one process, while another
+    thread runs (forking a threaded process is unsafe), or when numpy was
+    loaded before ``import latfold`` could pin BLAS to one thread. No worker
+    outlives the call.
     """
-    workers = min(workers, len(tasks))
+    workers = min(_worker_count(), len(tasks))
     if workers <= 1 or not _blas_one_thread or threading.active_count() > 1:
         return [run(task) for task in tasks]
     from concurrent.futures import ProcessPoolExecutor
@@ -443,7 +459,7 @@ def _run_forked(run, tasks: list, workers: int) -> list:
         pool.shutdown(cancel_futures=True)          # joins every worker
 
 
-def run_sweep(cfg: ExperimentConfig, workers: int | None = None) -> ExperimentResult:
+def run_sweep(cfg: ExperimentConfig) -> ExperimentResult:
     """Run every (OF, level, architecture) cell of the sweep, in grid order.
 
     Per-trial seeds hash the cell coordinates and the trial index, so adding
@@ -451,24 +467,22 @@ def run_sweep(cfg: ExperimentConfig, workers: int | None = None) -> ExperimentRe
     per process and each draw once per group (``_run_group``); a trial that
     raises fails only its own cell.
 
-    The (OF, level) groups run through ``_run_forked``, by default in one
-    worker process per CPU this process may run on; ``workers`` must be an
-    integer >= 1. The highest OF, whose records are longest, is submitted
-    first, so no worker idles at the end on a costly group. The cells are
-    byte-identical for every ``workers``, and each cell's ``wall_time`` is
-    measured in the process that ran it. Each worker is about 50 MB
-    resident, about 11 MB of it its own (fork shares the rest with this
-    process).
+    The (OF, level) groups run through ``_run_forked``, in one worker
+    process per CPU this process may run on. The highest OF, whose records
+    are longest, is submitted first, so no worker idles at the end on a
+    costly group. The cells are byte-identical for every CPU set, and each
+    cell's ``wall_time`` is measured in the process that ran it. Each worker
+    is about 50 MB resident, about 11 MB of it its own (fork shares the rest
+    with this process).
     """
     groups = [(of, kind, level) for of in cfg.of_list for kind, level in _levels(cfg)]
-    workers = _worker_count(workers)
     lattice = functools.cache(lambda family: make_lattice(family, cfg.n_channels, cfg.lam))
 
     def run(group) -> list:
         return _run_group(cfg, *group, lattice)
 
     order = sorted(range(len(groups)), key=lambda i: -groups[i][0])
-    done = dict(zip(order, _run_forked(run, [groups[i] for i in order], workers)))
+    done = dict(zip(order, _run_forked(run, [groups[i] for i in order])))
     return ExperimentResult(config=cfg,
                             cells=tuple(c for i in range(len(groups)) for c in done[i]))
 
@@ -563,7 +577,7 @@ def _recover_geometry(cfg: SignalConfig, name: str, lattice: ScaledLattice):
 
 
 def emit_trajectory_demo(outdir, seed: int = 0, lam: float = 1.0,
-                         power_trials: int = 200, workers: int | None = None) -> dict:
+                         power_trials: int = 200) -> dict:
     """Square vs hexagon folding of the 2D complex demo signal.
 
     Writes per-geometry trajectory CSVs (original, folded, recovered), the
@@ -572,16 +586,15 @@ def emit_trajectory_demo(outdir, seed: int = 0, lam: float = 1.0,
     geometry misses machine-precision reconstruction.
 
     The square, the hexagon and the power ratio are three tasks of
-    ``_run_forked``, by default in one worker process per CPU this process
-    may run on; ``workers`` must be an integer >= 1. The files and the
-    summary are byte-identical for every ``workers``: bad input raises before
-    any file is written, and a failed task raises here, in the order the
-    serial steps ran, after the files of the geometries before it.
+    ``_run_forked``, in one worker process per CPU this process may run on.
+    The files and the summary are byte-identical for every CPU set: bad
+    input raises before any file is written, and a failed task raises here,
+    in the order the serial steps ran, after the files of the geometries
+    before it.
     """
     if not (_is_integer(power_trials) and power_trials >= 1):
         raise ConfigurationError(f"power_trials must be an integer >= 1, got {power_trials!r}")
     geometries = {"square": make_lattice(ZN, 2, lam), "hexagon": make_lattice(A2, 2, lam)}
-    workers = _worker_count(workers)
     cfg = demo2d_config(seed)
 
     def run(task):
@@ -593,12 +606,13 @@ def emit_trajectory_demo(outdir, seed: int = 0, lam: float = 1.0,
             return exc
 
     tasks = [*geometries, "power_ratio"]            # the costly LASSO recoveries start first
-    done = dict(zip(tasks, _run_forked(run, tasks, workers)))
+    done = dict(zip(tasks, _run_forked(run, tasks)))
     if isinstance(done["power_ratio"], Exception):
         raise done["power_ratio"]
     summary = {"power_ratio": done["power_ratio"]}
     outdir = Path(outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
+    with _writing(outdir):
+        outdir.mkdir(parents=True, exist_ok=True)
     for name, lattice in geometries.items():
         if isinstance(done[name], Exception):
             raise done[name]
@@ -606,14 +620,14 @@ def emit_trajectory_demo(outdir, seed: int = 0, lam: float = 1.0,
         t = np.arange(len(f)) / cfg.fs
         data = np.column_stack([t, f, y, f_hat])
         header = "t,orig0,orig1,folded0,folded1,rec0,rec1"
-        np.savetxt(outdir / f"demo2d_{name}.csv", data, delimiter=",",
-                   header=header, comments="", fmt="%.12g")
-        poly = voronoi_cell_polygon(lattice)
-        np.savetxt(outdir / f"cell_{name}.csv", poly, delimiter=",",
-                   header="x,y", comments="", fmt="%.12g")
-
-    (outdir / "demo2d_summary.json").write_text(
-        json.dumps(summary, indent=2, sort_keys=True) + "\n")
+        with _writing(outdir):
+            np.savetxt(outdir / f"demo2d_{name}.csv", data, delimiter=",",
+                       header=header, comments="", fmt="%.12g")
+            np.savetxt(outdir / f"cell_{name}.csv", voronoi_cell_polygon(lattice),
+                       delimiter=",", header="x,y", comments="", fmt="%.12g")
+    with _writing(outdir):
+        (outdir / "demo2d_summary.json").write_text(
+            json.dumps(summary, indent=2, sort_keys=True) + "\n")
     return summary
 
 
@@ -647,6 +661,8 @@ def quantize_bench(n_samples: int = 200000, seed: int = 0,
     checks that a common scalar quantizer yields the same MSE on cube- and
     E8-folded data.
     """
+    if not (_is_integer(n_samples) and n_samples >= 1):
+        raise ConfigurationError(f"samples must be an integer >= 1, got {n_samples!r}")
     for b in bits:
         _check_bits(b)
     rng = np.random.default_rng(seed)

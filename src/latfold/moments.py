@@ -9,8 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattices import (A2, DN, E8, ZN, ConfigurationError, ScaledLattice, _is_integer, fold,
-                       make_lattice)
+from .lattices import A2, DN, E8, ZN, ConfigurationError, ScaledLattice, fold, make_lattice
 
 _CHUNK = 1 << 18
 # rows drawn, folded and squared at a time within a chunk: it bounds every
@@ -52,16 +51,12 @@ def sample_uniform_cell(lattice: ScaledLattice, rng: np.random.Generator, size: 
     return r
 
 
-def _worker_count(workers) -> int:
-    """``workers`` (threads or processes), by default one per CPU this process may run on."""
-    if workers is None:
-        try:
-            return len(os.sched_getaffinity(0))
-        except AttributeError:              # no affinity call on this platform
-            return os.cpu_count() or 1
-    if not (_is_integer(workers) and workers >= 1):
-        raise ConfigurationError(f"workers must be an integer >= 1, got {workers!r}")
-    return workers
+def _worker_count() -> int:
+    """Threads or processes to run at once: one per CPU this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:              # no affinity call on this platform
+        return os.cpu_count() or 1
 
 
 def _chunk_sums(lattice: ScaledLattice, seed, i: int, size: int):
@@ -74,7 +69,7 @@ def _chunk_sums(lattice: ScaledLattice, seed, i: int, size: int):
     return r2.sum(), (r2**2).sum()
 
 
-def _estimate_all(lattices, n_samples: int, seed, workers) -> list:
+def _estimate_all(lattices, n_samples: int, seed) -> list:
     """Second-moment estimates of ``lattices``, their chunks in one thread pool.
 
     The chunks of every lattice are submitted to one pool, the highest
@@ -83,10 +78,9 @@ def _estimate_all(lattices, n_samples: int, seed, workers) -> list:
     """
     if n_samples < 10**4:
         raise ConfigurationError(f"need at least 1e4 samples, got {n_samples!r}")
-    workers = _worker_count(workers)
     sizes = [min(_CHUNK, n_samples - i) for i in range(0, n_samples, _CHUNK)]
     costliest_first = sorted(range(len(lattices)), key=lambda k: -lattices[k].n)
-    with ThreadPoolExecutor(max_workers=workers) as ex:
+    with ThreadPoolExecutor(max_workers=_worker_count()) as ex:
         futures = {k: [ex.submit(_chunk_sums, lattices[k], seed, i, size)
                        for i, size in enumerate(sizes)] for k in costliest_first}
     estimates = []
@@ -105,8 +99,7 @@ def _estimate_all(lattices, n_samples: int, seed, workers) -> list:
     return estimates
 
 
-def estimate_second_moment(lattice: ScaledLattice, n_samples: int, seed,
-                           workers: int | None = None) -> SecondMomentEstimate:
+def estimate_second_moment(lattice: ScaledLattice, n_samples: int, seed) -> SecondMomentEstimate:
     """Monte Carlo estimate of the dimensionless second moment G.
 
     Samples are partitioned into fixed-size chunks with independent
@@ -114,13 +107,12 @@ def estimate_second_moment(lattice: ScaledLattice, n_samples: int, seed,
     through tiles of ``_TILE`` rows that draw from its substream in order,
     and only its ``(m,)`` squared norms are kept, so each thread holds one
     tile's temporaries and one chunk's norms, not a chunk's draw.
-    ``workers`` threads estimate the chunks, by default one per CPU this
-    process may run on; the result depends on neither the tile size nor
-    the worker count.
+    One thread per CPU this process may run on estimates the chunks; the
+    result depends on neither the tile size nor the thread count.
     ``G = E|r|^2 / (n V^{2/n})`` for ``r`` uniform on the cell; the
     estimate is invariant to the inradius.
     """
-    return _estimate_all([lattice], n_samples, seed, workers)[0]
+    return _estimate_all([lattice], n_samples, seed)[0]
 
 
 def predicted_mse(lattice: ScaledLattice, G: float) -> float:
@@ -154,15 +146,15 @@ def equivalent_gains(ratio: float) -> EquivalentGains:
                            bits_saved=math.log(inv) / math.log(4.0))
 
 
-def table1_report(n_samples: int = 10**6, seed: int = 0, workers: int | None = None):
+def table1_report(n_samples: int = 10**6, seed: int = 0):
     """Second-moment comparison rows, cubic baseline at equal inradius.
 
-    Estimated rows: Z (n=1), A2, D4, E8, their chunks estimated by one pool
-    of ``workers`` threads (see ``estimate_second_moment``). The 3D and 24D
+    Estimated rows: Z (n=1), A2, D4, E8, their chunks estimated by one
+    thread pool (see ``estimate_second_moment``). The 3D and 24D
     quantizers are emitted from literature constants and flagged as such.
     """
     lattices = [make_lattice(family, n, 1.0) for _, family, n in ESTIMATED_FAMILIES]
-    estimates = _estimate_all(lattices, n_samples, seed, workers)
+    estimates = _estimate_all(lattices, n_samples, seed)
     rows = []
     for (name, _, n), lat, est in zip(ESTIMATED_FAMILIES, lattices, estimates):
         cube = make_lattice(ZN, n, 1.0)

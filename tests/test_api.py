@@ -68,7 +68,6 @@ EXPERIMENT_CONFIG_FIELDS = [
 SWEEP_OPTIONS = [
     "--algorithm", "--config", "--dump-config", "--format",
     "--help", "--order", "--out", "--preset", "--seed", "--strict", "--trials",
-    "--workers",
 ]
 
 
@@ -86,6 +85,15 @@ def test_fixed_knob_signatures():
         sig = inspect.signature(func).parameters
         assert list(sig) == params, func.__name__
         assert all(p.default is p.empty for p in sig.values()), func.__name__
+
+
+def test_cpu_set_is_the_only_worker_control():
+    # every pool sizes itself from the process's CPU set; no parameter overrides it
+    for name in latfold.__all__:
+        value = getattr(latfold, name)
+        if inspect.isfunction(value):
+            assert "workers" not in inspect.signature(value).parameters, name
+    assert list(inspect.signature(latfold.moments._worker_count).parameters) == []
 
 
 def test_experiment_config_fields():
@@ -147,24 +155,30 @@ def test_python_dash_m_runs_the_cli():
     assert proc.stdout.startswith("name,n,G,std_err")
 
 
+def _fresh_latfold(args, cpus: int):
+    """``python -m latfold`` in a new interpreter that runs on ``cpus`` of this one's CPUs."""
+    pin = ("import os, runpy; os.sched_setaffinity(0, sorted(os.sched_getaffinity(0))[:%d]); "
+           "runpy.run_module('latfold', run_name='__main__')" % cpus)
+    return _fresh_python(["-c", pin, *args])
+
+
 def test_fresh_sweep_same_for_one_and_two_workers():
-    argv = ["-m", "latfold", "sweep", "--preset", "quantization", "--trials", "2"]
+    argv = ["sweep", "--preset", "quantization", "--trials", "2"]
     with ThreadPoolExecutor(2) as ex:                   # the two interpreters at once
-        one, two = ex.map(lambda w: _fresh_python([*argv, "--workers", w]), ("1", "2"))
+        one, two = ex.map(lambda cpus: _fresh_latfold(argv, cpus), (1, 2))
     assert one.returncode == two.returncode == 0, one.stderr + two.stderr
     assert one.stdout == two.stdout and one.stdout.startswith("of ")
     assert two.stderr == ""
 
 
 def test_fresh_demo2d_same_for_one_and_two_workers(tmp_path):
-    def demo(workers):
-        out = tmp_path / workers
-        proc = _fresh_python(["-m", "latfold", "demo2d", "--power-trials", "20",
-                              "--out", str(out), "--workers", workers])
+    def demo(cpus):
+        out = tmp_path / str(cpus)
+        proc = _fresh_latfold(["demo2d", "--power-trials", "20", "--out", str(out)], cpus)
         return proc, {p.name: p.read_bytes() for p in sorted(out.iterdir())}
 
     with ThreadPoolExecutor(2) as ex:                   # the two interpreters at once
-        (one, one_files), (two, two_files) = ex.map(demo, ("1", "2"))
+        (one, one_files), (two, two_files) = ex.map(demo, (1, 2))
     assert one.returncode == two.returncode == 0, one.stderr + two.stderr
     assert one.stdout == two.stdout and '"power_ratio"' in one.stdout
     assert one_files == two_files and len(one_files) == 5
@@ -184,7 +198,8 @@ def test_demo2d_forks_no_worker_when_numpy_loaded_first(tmp_path):
     code = ("import numpy, os, sys, latfold\n"
             "def fork(): raise AssertionError('forked a worker')\n"
             "os.fork = fork\n"
-            "s = latfold.emit_trajectory_demo(sys.argv[1], power_trials=20, workers=2)\n"
+            "os.sched_getaffinity = lambda pid: {0, 1}\n"
+            "s = latfold.emit_trajectory_demo(sys.argv[1], power_trials=20)\n"
             "print(s['square']['iterations'] > 0, s['hexagon']['iterations'] > 0)")
     proc = _fresh_python(["-c", code, str(tmp_path)])
     assert proc.returncode == 0, proc.stderr
@@ -197,8 +212,9 @@ def test_sweep_forks_no_worker_when_numpy_loaded_first():
     code = ("import numpy, os, latfold\n"
             "def fork(): raise AssertionError('forked a worker')\n"
             "os.fork = fork\n"
+            "os.sched_getaffinity = lambda pid: {0, 1}\n"
             "cfg = latfold.ExperimentConfig(of_list=(6, 8), snr_db_list=(None,), n_trials=1)\n"
-            "print([c.rate for c in latfold.run_sweep(cfg, workers=2).cells])")
+            "print([c.rate for c in latfold.run_sweep(cfg).cells])")
     proc = _fresh_python(["-c", code])
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[1.0, 1.0, 1.0, 1.0]"

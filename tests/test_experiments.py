@@ -1,12 +1,10 @@
 import dataclasses
-import functools
 import hashlib
 import json
 import math
 import multiprocessing
 import os
 import re
-import sys
 import threading
 
 import numpy as np
@@ -126,8 +124,8 @@ def test_cli_sweep_config_and_preset_exclusive(tmp_path, capsys):
 
 @pytest.mark.parametrize("argv,named", [
     (["table1", "--samples", "5000"], "need at least 1e4 samples, got 5000"),
-    (["table1", "--workers", "0"], "workers must be an integer >= 1, got 0"),
-    (["table1", "--workers", "-3"], "workers must be an integer >= 1, got -3"),
+    (["quantize-bench", "--samples", "0"], "samples must be an integer >= 1, got 0"),
+    (["quantize-bench", "--samples", "-3"], "samples must be an integer >= 1, got -3"),
     (["demo2d", "--lam", "-1"], "inradius must be positive and finite, got -1.0"),
     (["demo2d", "--lam", "nan"], "inradius must be positive and finite, got nan"),
     (["demo2d", "--power-trials", "0"], "power_trials must be an integer >= 1, got 0"),
@@ -137,10 +135,6 @@ def test_cli_sweep_config_and_preset_exclusive(tmp_path, capsys):
     *[([command, "--seed", "-1"], "seed must be a non-negative integer, got '-1'")
       for command in ("table1", "sweep", "demo2d", "quantize-bench")],
     (["sweep", "--seed", "4294967296"], "master_seed must be in 0..4294967295, got 4294967296"),
-    (["sweep", "--workers", "0"], "workers must be an integer >= 1, got 0"),
-    (["sweep", "--workers", "-3"], "workers must be an integer >= 1, got -3"),
-    (["demo2d", "--workers", "0"], "workers must be an integer >= 1, got 0"),
-    (["demo2d", "--workers", "-3"], "workers must be an integer >= 1, got -3"),
 ])
 def test_cli_bad_input_exits_2_before_any_output(argv, named, tmp_path, capsys):
     bad = tmp_path / "bad.json"
@@ -201,6 +195,7 @@ def test_sweep_deterministic():
     ("of_list", (6, 6.0), "oversampling factor 6.0 is repeated"),
     ("architectures", ("e8", "square", "e8"), "architecture 'e8' is repeated"),
     ("snr_db_list", (20, 25, 25.0004), "snr levels 25 and 25.0004 share their trial seeds"),
+    ("snr_db_list", (1e308,), "snr level 1e+308 is too large for a trial seed"),
 ])
 def test_sweep_rejects_bad_config_up_front(field, value, named, monkeypatch):
     import latfold.experiments as experiments
@@ -368,16 +363,32 @@ def test_cli_out_writes_what_stdout_shows(tmp_path, capsys):
         assert out.read_text() == shown
 
 
-def test_noise_seed_built_only_for_snr_cells(monkeypatch):
+def test_cli_unwritable_output_exits_2(tmp_path, capsys):
+    missing, existing = tmp_path / "missing", tmp_path / "file"
+    existing.write_text("kept\n")
+    for argv, path, reason in (
+            (["table1", "--samples", "10000", "--out"], missing / "x.csv",
+             "No such file or directory"),
+            (["sweep", "--dump-config"], missing / "c.json", "No such file or directory"),
+            (["demo2d", "--power-trials", "20", "--out"], existing, "File exists")):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, str(path)])
+        assert exc.value.code == 2
+        assert f"cannot write {path}: {reason}" in capsys.readouterr().err
+    assert existing.read_text() == "kept\n" and not missing.exists()
+
+
+def test_noise_seed_built_only_for_snr_cells(monkeypatch, cpu_set):
     import latfold.experiments as experiments
+    cpu_set(1)                                  # the calls are counted in this process
     calls = []
     original = experiments.noise_seed
     monkeypatch.setattr(experiments, "noise_seed",
                         lambda *a: calls.append(a) or original(*a))
     run_sweep(_tiny_config(snr_db_list=(), bits_list=(6, None), n_trials=2,
-                           architectures=("sq+sqq", "e8+e8q")), workers=1)
+                           architectures=("sq+sqq", "e8+e8q")))
     assert calls == []
-    run_sweep(_tiny_config(snr_db_list=(25, None), n_trials=2), workers=1)
+    run_sweep(_tiny_config(snr_db_list=(25, None), n_trials=2))
     assert sorted({a[2] for a in calls}) == ["snr"]
     assert len(calls) == 2 * 2                # architectures x trials
 
@@ -413,14 +424,14 @@ def test_mixed_grid_csv_pinned():
         "7cdab48b5e59f93cfcdb85c59f3338f212cca9d7286551253df10c00f86b9959"
 
 
-def test_shared_draws_leave_rows_unchanged(monkeypatch):
+def test_shared_draws_leave_rows_unchanged(monkeypatch, cpu_set):
     import latfold.experiments as experiments
+    cpu_set(1)                                  # the draws are counted in this process
     grid = dict(of_list=(4, 6), snr_db_list=(), bits_list=(4, None), n_trials=3,
                 master_seed=2)
 
     def rows(archs, arch):
-        out = emit_tables(run_sweep(ExperimentConfig(architectures=archs, **grid), workers=1),
-                          "csv")
+        out = emit_tables(run_sweep(ExperimentConfig(architectures=archs, **grid)), "csv")
         return [r for r in out.splitlines() if f",{arch}," in r]
 
     alone = rows(("e8+e8q",), "e8+e8q")
@@ -466,10 +477,12 @@ _POOL_GRIDS = {
 
 
 @pytest.mark.parametrize("grid", sorted(_POOL_GRIDS))
-def test_tables_same_for_every_worker_count(grid):
+def test_tables_same_for_every_worker_count(grid, cpu_set):
     cfg = _tiny_config(n_trials=1, master_seed=4, **_POOL_GRIDS[grid])
-    tables = {w: [emit_tables(run_sweep(cfg, workers=w), fmt) for fmt in ("csv", "json")]
-              for w in (1, 2, 7)}                     # 7: more workers than the 4 groups
+    tables = {}
+    for cpus in (1, 2, 7):                      # 7: more CPUs than the 4 groups
+        cpu_set(cpus)
+        tables[cpus] = [emit_tables(run_sweep(cfg), fmt) for fmt in ("csv", "json")]
     assert tables[2] == tables[1] and tables[7] == tables[1]
     assert multiprocessing.active_children() == []
 
@@ -488,10 +501,10 @@ def _fail_e8_at_of8(monkeypatch):
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-def test_cell_error_in_worker_stays_that_cell(workers, monkeypatch):
+def test_cell_error_in_worker_stays_that_cell(workers, monkeypatch, cpu_set):
     _fail_e8_at_of8(monkeypatch)
-    cells = run_sweep(_tiny_config(of_list=(6, 8), snr_db_list=(25, None), n_trials=2),
-                      workers=workers).cells
+    cpu_set(workers)
+    cells = run_sweep(_tiny_config(of_list=(6, 8), snr_db_list=(25, None), n_trials=2)).cells
     assert multiprocessing.active_children() == []
     failed = [c for c in cells if c.error]
     assert [(c.of, c.architecture) for c in failed] == [(8, "e8")] * 2
@@ -504,13 +517,14 @@ def test_cell_error_in_worker_stays_that_cell(workers, monkeypatch):
         assert os.getpid() not in pids                  # the forked workers ran them
 
 
-def test_sweep_forks_no_worker_while_another_thread_runs(monkeypatch):
+def test_sweep_forks_no_worker_while_another_thread_runs(monkeypatch, cpu_set):
     _fail_e8_at_of8(monkeypatch)
+    cpu_set(2)
     release = threading.Event()
     other = threading.Thread(target=release.wait)
     other.start()
     try:
-        cells = run_sweep(_tiny_config(of_list=(6, 8), n_trials=2), workers=2).cells
+        cells = run_sweep(_tiny_config(of_list=(6, 8), n_trials=2)).cells
     finally:
         release.set()
         other.join(timeout=10)
@@ -518,11 +532,12 @@ def test_sweep_forks_no_worker_while_another_thread_runs(monkeypatch):
     assert [c.error for c in cells if c.error] == [f"RuntimeError: trial in process {os.getpid()}"]
 
 
-def test_cli_strict_sweep_leaves_no_worker(monkeypatch, tmp_path, capsys):
+def test_cli_strict_sweep_leaves_no_worker(monkeypatch, tmp_path, capsys, cpu_set):
     _fail_e8_at_of8(monkeypatch)
+    cpu_set(2)
     cfg_path = tmp_path / "cfg.json"
     _tiny_config(of_list=(6, 8), n_trials=2).save(cfg_path)
-    assert main(["sweep", "--config", str(cfg_path), "--workers", "2", "--strict"]) == 1
+    assert main(["sweep", "--config", str(cfg_path), "--strict"]) == 1
     assert multiprocessing.active_children() == []
     assert "cell error: OF=8 clean=None e8: RuntimeError" in capsys.readouterr().err
 
@@ -607,21 +622,21 @@ def test_demo2d_outputs_pinned(tmp_path):
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-def test_demo2d_outputs_pinned_for_every_worker_count(workers, tmp_path, monkeypatch):
+def test_demo2d_outputs_pinned_for_every_worker_count(workers, tmp_path, cpu_set):
     # the pinned digests above, with the demo run in-process and forked
-    monkeypatch.setattr(sys.modules[__name__], "emit_trajectory_demo",
-                        functools.partial(emit_trajectory_demo, workers=workers))
+    cpu_set(workers)
     test_demo2d_outputs_pinned(tmp_path)
     assert multiprocessing.active_children() == []
 
 
-def test_demo2d_failure_same_for_every_worker_count(tmp_path):
+def test_demo2d_failure_same_for_every_worker_count(tmp_path, cpu_set):
     # seed 138 fails on the hexagon: the square's files stay, as in serial order
     seen = {}
     for workers in (1, 2):
+        cpu_set(workers)
         out = tmp_path / str(workers)
         with pytest.raises(DemoRecoveryError) as exc:
-            emit_trajectory_demo(out, seed=138, lam=1.0, power_trials=20, workers=workers)
+            emit_trajectory_demo(out, seed=138, lam=1.0, power_trials=20)
         assert multiprocessing.active_children() == []
         seen[workers] = (str(exc.value), {p.name: p.read_bytes() for p in out.iterdir()})
     assert seen[2] == seen[1]
@@ -629,16 +644,17 @@ def test_demo2d_failure_same_for_every_worker_count(tmp_path):
     assert sorted(seen[1][1]) == ["cell_square.csv", "demo2d_square.csv"]
 
 
-def test_demo2d_forks_no_worker_while_another_thread_runs(tmp_path, monkeypatch):
+def test_demo2d_forks_no_worker_while_another_thread_runs(tmp_path, monkeypatch, cpu_set):
     def fork():
         raise AssertionError("forked a worker")
 
     monkeypatch.setattr(os, "fork", fork)
+    cpu_set(2)
     release = threading.Event()
     other = threading.Thread(target=release.wait)
     other.start()
     try:
-        summary = emit_trajectory_demo(tmp_path, seed=0, lam=1.0, power_trials=20, workers=2)
+        summary = emit_trajectory_demo(tmp_path, seed=0, lam=1.0, power_trials=20)
     finally:
         release.set()
         other.join(timeout=10)

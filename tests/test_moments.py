@@ -1,17 +1,20 @@
+import concurrent.futures
 import hashlib
 import json
+import multiprocessing
 import os
 import tracemalloc
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
-from latfold import (A2, DN, E8, ZN, ConfigurationError, equivalent_gains,
+from latfold import (A2, DN, E8, ZN, ConfigurationError, ExperimentConfig, equivalent_gains,
                      estimate_second_moment, make_lattice, mse_ratio,
                      nearest_point, predicted_mse, sample_uniform_cell,
                      table1_report)
 from latfold import moments
+from latfold.cli import main
 from latfold.moments import (ESTIMATED_FAMILIES, G_CUBIC, format_report_csv,
                              format_report_text)
 
@@ -72,61 +75,88 @@ def test_second_moment_lam_invariant():
     assert abs(a.G - b.G) < tol
 
 
-def test_second_moment_worker_count_invariant():
+def test_second_moment_worker_count_invariant(cpu_set):
     lat = make_lattice(DN, 4, 1.0)
-    a = estimate_second_moment(lat, 10**5, seed=5, workers=1)
-    b = estimate_second_moment(lat, 10**5, seed=5, workers=4)
+    cpu_set(1)
+    a = estimate_second_moment(lat, 10**5, seed=5)
+    cpu_set(4)
+    b = estimate_second_moment(lat, 10**5, seed=5)
     assert a.G == b.G and a.std_err == b.std_err
 
 
-def test_table1_pinned_across_chunks_and_workers():
+def test_table1_pinned_across_chunks_and_workers(cpu_set):
     # two chunks, the second ending in a partial tile; the digest is of the
     # JSON that ``latfold table1 --format json`` writes
     n = 2**18 + 4099
-    for workers in (1, 2, None, 3):
-        rows = table1_report(n_samples=n, seed=0, workers=workers)
+    for cpus in (None, 1, 2, 3):                # None: this machine's CPU set
+        if cpus:
+            cpu_set(cpus)
+        rows = table1_report(n_samples=n, seed=0)
         out = json.dumps(rows, indent=2, sort_keys=True) + "\n"
         assert hashlib.sha256(out.encode()).hexdigest() == (
             "c0bbe799a75861ceeb5d7dd21f0ec9238c1f32a0afdc0277d0ba0217de0f6ce3")
 
 
-def test_table1_shared_pool_matches_each_family_alone():
+def test_table1_shared_pool_matches_each_family_alone(cpu_set):
     n = 2**18 + 10**4
-    rows = {r["name"]: r for r in table1_report(n_samples=n, seed=7, workers=2)}
+    cpu_set(2)
+    rows = {r["name"]: r for r in table1_report(n_samples=n, seed=7)}
+    cpu_set(1)
     for name, family, dim in ESTIMATED_FAMILIES:
-        alone = estimate_second_moment(make_lattice(family, dim, 1.0), n, seed=7, workers=1)
+        alone = estimate_second_moment(make_lattice(family, dim, 1.0), n, seed=7)
         assert (rows[name]["G"], rows[name]["std_err"]) == (alone.G, alone.std_err), name
 
 
-def test_default_workers_follow_cpu_affinity(monkeypatch):
-    pools = []
+def _recording(pool_class, sizes: list):
+    """``pool_class`` that appends the size of each pool it makes to ``sizes``."""
+    class Recording(pool_class):
+        def __init__(self, max_workers, *args, **kwargs):
+            sizes.append(max_workers)
+            super().__init__(max_workers, *args, **kwargs)
+    return Recording
 
-    class RecordingPool(ThreadPoolExecutor):
-        def __init__(self, max_workers):
-            pools.append(max_workers)
-            super().__init__(max_workers=max_workers)
 
-    monkeypatch.setattr(moments, "ThreadPoolExecutor", RecordingPool)
+def test_default_workers_follow_cpu_affinity(cpu_set, monkeypatch, tmp_path):
+    # every command runs one worker per CPU in the process's CPU set, the
+    # fork pools of sweep and demo2d at most one per task
+    threads, forks = [], []
+    monkeypatch.setattr(moments, "ThreadPoolExecutor", _recording(ThreadPoolExecutor, threads))
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        _recording(ProcessPoolExecutor, forks))
+    config = tmp_path / "two_groups.json"
+    ExperimentConfig(of_list=(6, 8), snr_db_list=(None,), n_trials=1).save(config)
+    outputs = {}
+    for cpus in (3, 1):
+        cpu_set(cpus)
+        if cpus == 1:                           # one CPU: everything runs in-process
+            monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked a worker"))
+        out = tmp_path / str(cpus)
+        out.mkdir()
+        assert main(["table1", "--samples", "10000", "--out", str(out / "table1.txt")]) == 0
+        assert main(["sweep", "--config", str(config), "--out", str(out / "sweep.txt")]) == 0
+        assert main(["demo2d", "--power-trials", "20", "--out", str(out / "demo2d")]) == 0
+        assert multiprocessing.active_children() == []
+        outputs[cpus] = {p.relative_to(out): p.read_bytes() for p in out.rglob("*") if p.is_file()}
+    assert threads == [3, 1]
+    assert forks == [2, 3]                      # min(CPUs, tasks): 2 groups, 3 demo tasks
+    assert outputs[3] == outputs[1] and len(outputs[1]) == 7
     lat = make_lattice(ZN, 1, 1.0)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
-    estimate_second_moment(lat, 10**4, seed=0)
-    table1_report(n_samples=10**4, seed=0)
-    estimate_second_moment(lat, 10**4, seed=0, workers=2)     # an explicit count wins
     monkeypatch.delattr(os, "sched_getaffinity", raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: 4)
     estimate_second_moment(lat, 10**4, seed=0)
     monkeypatch.setattr(os, "cpu_count", lambda: None)
     estimate_second_moment(lat, 10**4, seed=0)
-    assert pools == [3, 3, 2, 4, 1]
+    assert threads == [3, 1, 4, 1]
 
 
-def test_second_moment_peak_memory_below_one_chunk_draw():
-    # two chunks, so with two workers both are in flight at once
+def test_second_moment_peak_memory_below_one_chunk_draw(cpu_set):
+    # two chunks, so with two threads both are in flight at once
     lat = make_lattice(E8, 8, 1.0)
     for workers in (1, 2):
+        cpu_set(workers)
         tracemalloc.start()
         try:
-            estimate_second_moment(lat, 2**19, seed=0, workers=workers)
+            estimate_second_moment(lat, 2**19, seed=0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
