@@ -36,11 +36,6 @@ from .recovery import (b2r2_recover, build_oob_operator, check_recovery,
 from .signals import SignalConfig, make_test_signal
 
 SCHEMA_VERSION = 4
-# the config keys each readable schema drops on load: v1 carries the removed
-# gradient-descent solver's ``tol``, and v1 and v2 the LASSO sweep settings
-_DROPPED_KEYS = {1: ("tol", "lasso_mu", "max_iters"),
-                 2: ("lasso_mu", "max_iters"),
-                 3: (), SCHEMA_VERSION: ()}
 
 # (active samples of the signal, active samples assumed by the solver,
 # margin leak budget as a fraction of the peak) per oversampling factor,
@@ -143,7 +138,6 @@ class ExperimentConfig:
     lam: ClassVar[float] = 0.1
     dr_factor: ClassVar[float] = 10.0
     guard: ClassVar[float] = 0.04
-    noise_law: ClassVar[str] = "gaussian"
 
     name: str = "study8d"
     of_list: tuple = (2, 4, 6, 8)
@@ -214,16 +208,9 @@ class ExperimentConfig:
             raise ConfigurationError(f"a config must be a JSON object, got {type(d).__name__}")
         d = dict(d)
         version = d.pop("schema_version", SCHEMA_VERSION)
-        if not (_is_integer(version) and version in _DROPPED_KEYS):   # True == 1 is no schema
+        if not (_is_integer(version) and version == SCHEMA_VERSION):     # 4.0 is no schema
             raise ConfigurationError(f"unsupported config schema {version!r}")
-        for key in _DROPPED_KEYS[version]:
-            d.pop(key, None)
-        keys = {f.name for f in fields(cls)}
-        for key in [k for k in cls.__annotations__ if k in d and k not in keys]:
-            value, fixed = d.pop(key), getattr(cls, key)       # a class constant
-            if value != fixed:
-                raise ConfigurationError(f"{key} is fixed at {fixed!r}, got {value!r}")
-        unknown = sorted(set(d) - keys)
+        unknown = sorted(set(d) - {f.name for f in fields(cls)})
         if unknown:
             raise ConfigurationError(f"unknown config keys {unknown}")
         return cls(**d)
@@ -587,45 +574,36 @@ def emit_trajectory_demo(outdir, seed: int = 0, lam: float = 1.0,
 
     The square, the hexagon and the power ratio are three tasks of
     ``_run_forked``, in one worker process per CPU this process may run on.
-    The files and the summary are byte-identical for every CPU set: bad
-    input raises before any file is written, and a failed task raises here,
-    in the order the serial steps ran, after the files of the geometries
-    before it.
+    The files and the summary are byte-identical for every CPU set. Bad
+    input raises before ``outdir`` is created, an unusable ``outdir``
+    before the work, and the first failed task in task order before any
+    file is written.
     """
     if not (_is_integer(power_trials) and power_trials >= 1):
         raise ConfigurationError(f"power_trials must be an integer >= 1, got {power_trials!r}")
     geometries = {"square": make_lattice(ZN, 2, lam), "hexagon": make_lattice(A2, 2, lam)}
     cfg = demo2d_config(seed)
-
-    def run(task):
-        try:
-            if task == "power_ratio":
-                return demo_power_ratio(lam=lam, n_trials=power_trials, seed=seed)
-            return _recover_geometry(cfg, task, geometries[task])
-        except Exception as exc:        # raised below, in the serial order
-            return exc
-
-    tasks = [*geometries, "power_ratio"]            # the costly LASSO recoveries start first
-    done = dict(zip(tasks, _run_forked(run, tasks)))
-    if isinstance(done["power_ratio"], Exception):
-        raise done["power_ratio"]
-    summary = {"power_ratio": done["power_ratio"]}
     outdir = Path(outdir)
     with _writing(outdir):
         outdir.mkdir(parents=True, exist_ok=True)
-    for name, lattice in geometries.items():
-        if isinstance(done[name], Exception):
-            raise done[name]
-        f, y, f_hat, summary[name] = done[name]
-        t = np.arange(len(f)) / cfg.fs
-        data = np.column_stack([t, f, y, f_hat])
-        header = "t,orig0,orig1,folded0,folded1,rec0,rec1"
-        with _writing(outdir):
-            np.savetxt(outdir / f"demo2d_{name}.csv", data, delimiter=",",
-                       header=header, comments="", fmt="%.12g")
+
+    def run(task):
+        if task == "power_ratio":
+            return demo_power_ratio(lam=lam, n_trials=power_trials, seed=seed)
+        return _recover_geometry(cfg, task, geometries[task])
+
+    tasks = [*geometries, "power_ratio"]            # the costly LASSO recoveries start first
+    done = dict(zip(tasks, _run_forked(run, tasks)))
+    summary = {"power_ratio": done["power_ratio"]}
+    with _writing(outdir):
+        for name, lattice in geometries.items():
+            f, y, f_hat, summary[name] = done[name]
+            t = np.arange(len(f)) / cfg.fs
+            np.savetxt(outdir / f"demo2d_{name}.csv", np.column_stack([t, f, y, f_hat]),
+                       delimiter=",", header="t,orig0,orig1,folded0,folded1,rec0,rec1",
+                       comments="", fmt="%.12g")
             np.savetxt(outdir / f"cell_{name}.csv", voronoi_cell_polygon(lattice),
                        delimiter=",", header="x,y", comments="", fmt="%.12g")
-    with _writing(outdir):
         (outdir / "demo2d_summary.json").write_text(
             json.dumps(summary, indent=2, sort_keys=True) + "\n")
     return summary
@@ -659,7 +637,7 @@ def quantize_bench(n_samples: int = 200000, seed: int = 0,
     For each supported lattice, compares empirical matched-quantizer MSE on
     uniform cell samples against the per-cell MSE scaled by 4^-B, and
     checks that a common scalar quantizer yields the same MSE on cube- and
-    E8-folded data.
+    E8-folded data; ``std_err`` is the standard error of their difference.
     """
     if not (_is_integer(n_samples) and n_samples >= 1):
         raise ConfigurationError(f"samples must be an integer >= 1, got {n_samples!r}")
@@ -682,9 +660,10 @@ def quantize_bench(n_samples: int = 200000, seed: int = 0,
     r_sq = sample_uniform_cell(cube, rng, n_samples)
     r_e8 = sample_uniform_cell(e8, rng, n_samples)
     for b in (6, 8):
-        mse_sq = float(((r_sq - scalar_quantize(r_sq, b, 1.0)) ** 2).sum(axis=1).mean())
-        mse_e8 = float(((r_e8 - scalar_quantize(r_e8, b, 1.0)) ** 2).sum(axis=1).mean())
-        report["mismatched"][int(b)] = {"cube_folded": mse_sq,
-                                        "e8_folded": mse_e8,
-                                        "ratio": mse_e8 / mse_sq}
+        e_sq = ((r_sq - scalar_quantize(r_sq, b, 1.0)) ** 2).sum(axis=1)
+        e_e8 = ((r_e8 - scalar_quantize(r_e8, b, 1.0)) ** 2).sum(axis=1)
+        mse_sq, mse_e8 = float(e_sq.mean()), float(e_e8.mean())
+        report["mismatched"][int(b)] = {
+            "cube_folded": mse_sq, "e8_folded": mse_e8, "ratio": mse_e8 / mse_sq,
+            "std_err": float(np.hypot(e_sq.std(), e_e8.std()) / np.sqrt(n_samples))}
     return report

@@ -206,14 +206,20 @@ def make_lattice(family: str, n: int, lam: float) -> ScaledLattice:
         raise ConfigurationError(
             f"{family} requires an integer {spec.dims[0]} <= n <= {spec.dims[1]}, got {n!r}")
     lam = float(lam)
-    scale = lam * spec.scale
+    with np.errstate(all="ignore"):                     # overflow and underflow: checked below
+        scale = lam * spec.scale
+        volume = spec.volume * (np.prod(scale) if np.ndim(scale) else np.float64(scale) ** n)
+        basis = np.reshape(scale, (-1, 1)) * spec.basis(n)
+    # a finite basis has a finite scale: each row is one axis's scale times a nonzero row
+    if not (np.isfinite(basis).all() and 0 < volume < math.inf
+            and np.isfinite(basis_inv := np.linalg.inv(basis)).all()):
+        raise ConfigurationError(f"inradius {lam!r} puts the {family}({n}) lattice "
+                                 "out of floating-point range")
     if np.ndim(scale):
         scale.setflags(write=False)
-    volume = spec.volume * (np.prod(scale) if np.ndim(scale) else scale**n)
-    basis = np.reshape(scale, (-1, 1)) * spec.basis(n)
     return ScaledLattice(family=family, n=n, lam=lam, basis=basis,
                          d_min=2.0 * lam, volume=float(volume), scale=scale,
-                         basis_inv=np.linalg.inv(basis))
+                         basis_inv=basis_inv)
 
 
 def _decode(x, spec: _Family, scale) -> np.ndarray:

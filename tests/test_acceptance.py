@@ -11,14 +11,12 @@ import time
 import numpy as np
 
 from latfold import (A2, DN, E8, ZN, ExperimentConfig, SignalConfig,
-                     check_recovery, estimate_second_moment, fold,
-                     fold_iterative, fold_signal, hod_recover,
-                     lattice_quantize, make_lattice, make_test_signal,
-                     mse_ratio, nearest_point, relevant_vectors,
-                     sample_uniform_cell, scalar_quantize)
+                     check_recovery, fold, fold_iterative, fold_signal,
+                     hod_recover, make_lattice, make_test_signal,
+                     nearest_point, quantize_bench, relevant_vectors,
+                     table1_report)
 from latfold.experiments import (ARCHITECTURES, draw_folded,
                                  emit_trajectory_demo, run_trial)
-from latfold.moments import G_CUBIC
 from oracles import closest_point
 
 
@@ -75,19 +73,12 @@ def test_criterion_2_oracle_equivalence():
 
 def test_criterion_3_second_moment_table():
     t0 = time.perf_counter()
-    n_samples = 10**6
-    targets = {ZN: (1, 0.0833), A2: (2, 0.0802), DN: (4, 0.0766), E8: (8, 0.0717)}
+    rows = {r["name"]: r for r in table1_report(10**6, seed=17)}
+    targets = {ZN: ("z", 0.0833), A2: ("a2", 0.0802), DN: ("d4", 0.0766), E8: ("e8", 0.0717)}
     ratio_targets = {A2: 0.833, DN: 0.650, E8: 0.430}
-    g_err = {}
-    ratio_err = {}
-    for family, (n, g_ref) in targets.items():
-        lat = make_lattice(family, n, 1.0)
-        est = estimate_second_moment(lat, n_samples, seed=17)
-        g_err[family] = abs(est.G - g_ref)
-        if family in ratio_targets:
-            cube = make_lattice(ZN, n, 1.0)
-            r = mse_ratio(lat, cube, est.G, G_CUBIC)
-            ratio_err[family] = abs(r - ratio_targets[family]) / ratio_targets[family]
+    g_err = {family: abs(rows[name]["G"] - g_ref) for family, (name, g_ref) in targets.items()}
+    ratio_err = {family: abs(rows[targets[family][0]]["mse_ratio"] - ratio) / ratio
+                 for family, ratio in ratio_targets.items()}
     dt = time.perf_counter() - t0
     ok = (all(v < 5e-4 for v in g_err.values())
           and all(v < 0.01 for v in ratio_err.values())
@@ -102,32 +93,17 @@ def test_criterion_3_second_moment_table():
 # ---------------------------------------------------------------- criterion 4
 
 def test_criterion_4_quantizer_laws():
-    rng = np.random.default_rng(4)
-    n_samp = 400000
-    worst = 0.0
-    for family, n in [(ZN, 1), (A2, 2), (DN, 4), (E8, 8)]:
-        lat = make_lattice(family, n, 1.0)
-        r = sample_uniform_cell(lat, rng, n_samp)
-        base = (r**2).sum(axis=1).mean()
-        for bits in (2, 4, 6):
-            q = lattice_quantize(r, lat, bits)
-            mse = ((r - q) ** 2).sum(axis=1).mean()
-            worst = max(worst, abs(mse / (base * 4.0 ** (-bits)) - 1.0))
+    report = quantize_bench(400000, seed=4, bits=(2, 4, 6))
+    worst = max(abs(row["ratio"] - 1.0)
+                for rows in report["matched"].values() for row in rows.values())
     law_ok = worst < 0.02
 
-    cube = make_lattice(ZN, 8, 1.0)
-    e8 = make_lattice(E8, 8, 1.0)
-    r_sq = sample_uniform_cell(cube, rng, n_samp)
-    r_e8 = sample_uniform_cell(e8, rng, n_samp)
     null_ok = True
     sig_margin = 0.0
-    for bits in (6, 8):
-        e_sq = ((scalar_quantize(r_sq, bits, 1.0) - r_sq) ** 2).sum(axis=1)
-        e_e8 = ((scalar_quantize(r_e8, bits, 1.0) - r_e8) ** 2).sum(axis=1)
-        diff = abs(e_e8.mean() - e_sq.mean())
-        sigma = np.hypot(e_sq.std(), e_e8.std()) / np.sqrt(n_samp)
-        sig_margin = max(sig_margin, diff / sigma)
-        null_ok = null_ok and diff < 3 * sigma
+    for row in report["mismatched"].values():
+        diff = abs(row["e8_folded"] - row["cube_folded"])
+        sig_margin = max(sig_margin, diff / row["std_err"])
+        null_ok = null_ok and diff < 3 * row["std_err"]
     ok = law_ok and null_ok
     _report(4, ok, f"matched law worst dev {worst:.2%} (<2%); mismatched null "
                    f"within {sig_margin:.1f} sigma (<3)")

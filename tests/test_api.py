@@ -67,7 +67,7 @@ EXPERIMENT_CONFIG_FIELDS = [
 ]
 SWEEP_OPTIONS = [
     "--algorithm", "--config", "--dump-config", "--format",
-    "--help", "--order", "--out", "--preset", "--seed", "--strict", "--trials",
+    "--help", "--order", "--out", "--preset", "--seed", "--trials",
 ]
 
 

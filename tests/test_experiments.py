@@ -39,54 +39,28 @@ def test_config_rejects_unknown_schema():
         ExperimentConfig.from_dict({"schema_version": 99})
 
 
-def test_config_reads_v1_dropping_tol():
-    v3 = table3_config(n_trials=7).to_dict()
-    lasso = {"lasso_mu": None, "max_iters": 5000}
-    v1 = {**v3, **lasso, "schema_version": 1, "tol": 1e-10}
-    assert ExperimentConfig.from_dict(v1) == table3_config(n_trials=7)
-    v2 = {**v3, **lasso, "schema_version": 2}
-    assert ExperimentConfig.from_dict(v2) == table3_config(n_trials=7)
-    with pytest.raises(ConfigurationError, match="tol"):
-        ExperimentConfig.from_dict({**v2, "tol": 1e-10})
-    with pytest.raises(ConfigurationError, match="schema True"):     # not schema 1
-        ExperimentConfig.from_dict({**v3, "schema_version": True, "tol": 1e-10})
-    for key, value in lasso.items():
-        with pytest.raises(ConfigurationError, match=key):
-            ExperimentConfig.from_dict({**v3, key: value})
-
-
 def test_config_rejects_unknown_key():
     with pytest.raises(ConfigurationError, match="nope"):
         ExperimentConfig.from_dict({"nope": 1})
 
 
-# the study constants as schemas up to 3 wrote them, and another value of each
-STUDY_KEYS = {"n_channels": 8, "omega_max": 10.0, "duration": 2.0, "lam": 0.1,
-              "dr_factor": 10.0, "guard": 0.04, "noise_law": "gaussian"}
-OTHER_VALUES = {"n_channels": 4, "omega_max": 5.0, "duration": 1.0, "lam": 1.0,
-                "dr_factor": 3.0, "guard": 0.2, "noise_law": "uniform"}
+# the study constants, which schemas up to 3 wrote as config keys
+STUDY_KEYS = ("n_channels", "omega_max", "duration", "lam", "dr_factor", "guard")
 
 
-def test_config_reads_v3_study_constants():
-    v3 = {**table3_config().to_dict(), **STUDY_KEYS, "schema_version": 3}
-    assert len(v3) == 17
-    assert ExperimentConfig.from_dict(v3) == table3_config()
-
-
-@pytest.mark.parametrize("key", sorted(OTHER_VALUES))
-def test_config_rejects_other_study_constant(key, tmp_path, capsys):
-    for version in (3, 4):
-        cfg = {**table3_config().to_dict(), key: OTHER_VALUES[key],
-               "schema_version": version}
-        with pytest.raises(ConfigurationError, match=re.escape(
-                f"{key} is fixed at {STUDY_KEYS[key]!r}, got {OTHER_VALUES[key]!r}")):
-            ExperimentConfig.from_dict(cfg)
-    path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(cfg))
-    with pytest.raises(SystemExit) as exc:
-        main(["sweep", "--config", str(path)])
-    assert exc.value.code == 2
-    assert f"{key} is fixed at" in capsys.readouterr().err
+def test_config_reads_schema_4_only(tmp_path, capsys):
+    for version, named in ((3, "unsupported config schema 3"),
+                           (4, "unknown config keys ['lam']")):
+        path = tmp_path / f"v{version}.json"
+        path.write_text(json.dumps({**table3_config().to_dict(), "lam": 0.1,
+                                    "schema_version": version}))
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--config", str(path)])
+        assert exc.value.code == 2
+        assert f"{path}: {named}" in capsys.readouterr().err
+    for version in (1, 2, True, 4.0):
+        with pytest.raises(ConfigurationError, match=re.escape(f"schema {version!r}")):
+            ExperimentConfig.from_dict({"schema_version": version})
 
 
 def test_cli_dump_config_holds_no_study_constant(tmp_path):
@@ -135,6 +109,8 @@ def test_cli_sweep_config_and_preset_exclusive(tmp_path, capsys):
     *[([command, "--seed", "-1"], "seed must be a non-negative integer, got '-1'")
       for command in ("table1", "sweep", "demo2d", "quantize-bench")],
     (["sweep", "--seed", "4294967296"], "master_seed must be in 0..4294967295, got 4294967296"),
+    *[(["demo2d", "--lam", lam], f"inradius {lam} puts the zn(2) lattice out of "
+       "floating-point range") for lam in ("1e+308", "1e+200")],
 ])
 def test_cli_bad_input_exits_2_before_any_output(argv, named, tmp_path, capsys):
     bad = tmp_path / "bad.json"
@@ -219,7 +195,7 @@ def test_cli_sweep_reports_bad_config(tmp_path, capsys):
     bad_of = tmp_path / "of.json"
     bad_of.write_text(json.dumps({**_tiny_config().to_dict(), "of_list": [3]}))
     bad_key = tmp_path / "key.json"
-    bad_key.write_text(json.dumps({"schema_version": 2, "nope": 1}))
+    bad_key.write_text(json.dumps({"schema_version": 4, "nope": 1}))
     dumped = tmp_path / "dumped.json"
     for argv, named in (
             (["--config", str(bad_of)], "oversampling factor 3"),
@@ -363,12 +339,19 @@ def test_cli_out_writes_what_stdout_shows(tmp_path, capsys):
         assert out.read_text() == shown
 
 
-def test_cli_unwritable_output_exits_2(tmp_path, capsys):
+def test_cli_unwritable_output_exits_2(tmp_path, capsys, monkeypatch):
+    import latfold.cli as cli
+    import latfold.experiments as experiments
+    for module, name in ((cli, "table1_report"), (cli, "run_sweep"), (cli, "quantize_bench"),
+                         (experiments, "lasso_b2r2_recover")):
+        monkeypatch.setattr(module, name, lambda *a, **k: pytest.fail("worked before the check"))
     missing, existing = tmp_path / "missing", tmp_path / "file"
     existing.write_text("kept\n")
     for argv, path, reason in (
             (["table1", "--samples", "10000", "--out"], missing / "x.csv",
              "No such file or directory"),
+            (["sweep", "--trials", "2", "--out"], missing / "s.csv", "No such file or directory"),
+            (["quantize-bench", "--out"], missing / "q.json", "No such file or directory"),
             (["sweep", "--dump-config"], missing / "c.json", "No such file or directory"),
             (["demo2d", "--power-trials", "20", "--out"], existing, "File exists")):
         with pytest.raises(SystemExit) as exc:
@@ -532,12 +515,13 @@ def test_sweep_forks_no_worker_while_another_thread_runs(monkeypatch, cpu_set):
     assert [c.error for c in cells if c.error] == [f"RuntimeError: trial in process {os.getpid()}"]
 
 
-def test_cli_strict_sweep_leaves_no_worker(monkeypatch, tmp_path, capsys, cpu_set):
+def test_cli_sweep_cell_error_exits_1_leaving_no_worker(monkeypatch, tmp_path, capsys,
+                                                        cpu_set):
     _fail_e8_at_of8(monkeypatch)
     cpu_set(2)
     cfg_path = tmp_path / "cfg.json"
     _tiny_config(of_list=(6, 8), n_trials=2).save(cfg_path)
-    assert main(["sweep", "--config", str(cfg_path), "--strict"]) == 1
+    assert main(["sweep", "--config", str(cfg_path)]) == 1
     assert multiprocessing.active_children() == []
     assert "cell error: OF=8 clean=None e8: RuntimeError" in capsys.readouterr().err
 
@@ -630,7 +614,7 @@ def test_demo2d_outputs_pinned_for_every_worker_count(workers, tmp_path, cpu_set
 
 
 def test_demo2d_failure_same_for_every_worker_count(tmp_path, cpu_set):
-    # seed 138 fails on the hexagon: the square's files stay, as in serial order
+    # seed 138 fails on the hexagon: the same error, and no file written
     seen = {}
     for workers in (1, 2):
         cpu_set(workers)
@@ -638,10 +622,10 @@ def test_demo2d_failure_same_for_every_worker_count(tmp_path, cpu_set):
         with pytest.raises(DemoRecoveryError) as exc:
             emit_trajectory_demo(out, seed=138, lam=1.0, power_trials=20)
         assert multiprocessing.active_children() == []
-        seen[workers] = (str(exc.value), {p.name: p.read_bytes() for p in out.iterdir()})
+        assert list(out.iterdir()) == []
+        seen[workers] = str(exc.value)
     assert seen[2] == seen[1]
-    assert seen[1][0].startswith("hexagon: reconstruction error")
-    assert sorted(seen[1][1]) == ["cell_square.csv", "demo2d_square.csv"]
+    assert seen[1].startswith("hexagon: reconstruction error")
 
 
 def test_demo2d_forks_no_worker_while_another_thread_runs(tmp_path, monkeypatch, cpu_set):

@@ -1,3 +1,4 @@
+import re
 from itertools import combinations, product
 
 import numpy as np
@@ -53,6 +54,14 @@ def test_make_lattice_bad_dimension(family, n):
 def test_make_lattice_bad_inradius():
     with pytest.raises(ConfigurationError):
         make_lattice(ZN, 2, 0.0)
+
+
+@pytest.mark.parametrize("family,n,lam", [(ZN, 2, 1e308), (DN, 4, 1e100), (E8, 8, 1e-310)])
+def test_make_lattice_rejects_inradius_out_of_float_range(family, n, lam):
+    # inf scale, an overflowing volume, and a zero volume with an infinite inverse
+    with pytest.raises(ConfigurationError, match=re.escape(
+            f"inradius {lam!r} puts the {family}({n}) lattice out of floating-point range")):
+        make_lattice(family, n, lam)
 
 
 def test_basis_generates_volume():
