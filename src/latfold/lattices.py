@@ -381,8 +381,12 @@ def voronoi_cell_polygon(lattice: ScaledLattice) -> np.ndarray:
 
 
 def in_voronoi_cell(lattice: ScaledLattice, r) -> bool:
-    """Closed-cell test via the facet inequalities, to absolute tolerance 1e-9."""
+    """Closed-cell test via the facet inequalities ``r . v <= |v|^2 / 2``.
+
+    Each facet has a slack of 2e-9 relative to its ``|v|^2 / 2``, so the test
+    scales with the inradius.
+    """
     pv = relevant_vectors(lattice)
     half = 0.5 * (pv**2).sum(axis=1)
     r = np.atleast_2d(np.asarray(r, dtype=float))
-    return bool(np.all(r @ pv.T <= half[None, :] + 1e-9))
+    return bool(np.all(r @ pv.T <= half[None, :] * (1 + 2e-9)))

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.linalg.lapack import dgels
 
 from .lattices import (ConfigurationError, ScaledLattice, _check_finite,
                        nearest_point, snap_to_lattice)
@@ -160,6 +159,7 @@ def _window_solve(R, full_rank, idx, rhs, rounds):
     if not full_rank:
         sol, *_ = np.linalg.lstsq(R[:, idx], rhs, rcond=RCOND)
         return sol
+    from scipy.linalg.lapack import dgels      # at first use: off every command's start-up
     _, x, info = dgels(R[:, idx], rhs)
     if info != 0:
         raise RecoveryNumericalError(rounds)

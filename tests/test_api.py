@@ -4,8 +4,10 @@ import inspect
 import os
 import pickle
 import re
+import signal
 import subprocess
 import sys
+import time
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -134,11 +136,16 @@ def test_every_exception_survives_pickling():
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
-def _fresh_python(args, **env):
-    """Run a new interpreter on this ``latfold`` with no BLAS thread variable set."""
+def _fresh_env(**env) -> dict:
+    """The environment of a new interpreter on this ``latfold``, no BLAS thread variable set."""
     base = {k: v for k, v in os.environ.items() if k not in BLAS_VARS}
     base["PYTHONPATH"] = str(Path(latfold.__file__).resolve().parents[1])
-    return subprocess.run([sys.executable, *args], env={**base, **env},
+    return {**base, **env}
+
+
+def _fresh_python(args, **env):
+    """Run a new interpreter on this ``latfold`` with no BLAS thread variable set."""
+    return subprocess.run([sys.executable, *args], env=_fresh_env(**env),
                           capture_output=True, text=True, timeout=120)
 
 
@@ -155,11 +162,15 @@ def test_python_dash_m_runs_the_cli():
     assert proc.stdout.startswith("name,n,G,std_err")
 
 
-def _fresh_latfold(args, cpus: int):
-    """``python -m latfold`` in a new interpreter that runs on ``cpus`` of this one's CPUs."""
+def _latfold_on(cpus: int, args) -> list:
+    """Arguments to a new interpreter: ``python -m latfold`` on ``cpus`` of this one's CPUs."""
     pin = ("import os, runpy; os.sched_setaffinity(0, sorted(os.sched_getaffinity(0))[:%d]); "
            "runpy.run_module('latfold', run_name='__main__')" % cpus)
-    return _fresh_python(["-c", pin, *args])
+    return ["-c", pin, *args]
+
+
+def _fresh_latfold(args, cpus: int):
+    return _fresh_python(_latfold_on(cpus, args))
 
 
 def test_fresh_sweep_same_for_one_and_two_workers():
@@ -186,12 +197,47 @@ def test_fresh_demo2d_same_for_one_and_two_workers(tmp_path):
 
 
 def test_import_loads_no_process_pool():
-    code = ("import sys, latfold\n"
-            "print([m for m in ('multiprocessing', 'concurrent.futures.process')"
-            " if m in sys.modules])")
+    # nor scipy, which only the sweep uses: it is half of a command's start-up
+    for module in ("latfold", "latfold.cli"):
+        code = (f"import sys, {module}\n"
+                "print([m for m in ('multiprocessing', 'concurrent.futures.process', 'scipy')"
+                " if m in sys.modules])")
+        proc = _fresh_python(["-c", code])
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]", module
+
+
+def test_commands_other_than_sweep_load_no_scipy(tmp_path):
+    code = ("import sys\n"
+            "from latfold.cli import main\n"
+            "out = sys.argv[1]\n"
+            "for argv in (['table1', '--samples', '10000'],\n"
+            "             ['demo2d', '--power-trials', '20', '--out', out + '/demo'],\n"
+            "             ['quantize-bench', '--samples', '1000'],\n"
+            "             ['sweep', '--dump-config', out + '/cfg.json']):\n"
+            "    assert main(argv) == 0, argv\n"
+            "print([m for m in sys.modules if m.split('.')[0] == 'scipy'], file=sys.stderr)")
+    proc = _fresh_python(["-c", code, str(tmp_path)])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.strip() == "[]"
+    assert (tmp_path / "cfg.json").exists() and len(list((tmp_path / "demo").iterdir())) == 5
+
+
+def test_sweep_loads_scipy_before_it_forks():
+    # forked workers share the parent's modules; workers that each imported
+    # scipy themselves cut the sweep's throughput by a third
+    code = ("import os, sys, latfold\n"
+            "fork, seen = os.fork, []\n"
+            "def record():\n"
+            "    seen.append('scipy.linalg' in sys.modules)\n"
+            "    return fork()\n"
+            "os.fork = record\n"
+            "os.sched_getaffinity = lambda pid: {0, 1}\n"
+            "cfg = latfold.ExperimentConfig(of_list=(6, 8), snr_db_list=(None,), n_trials=1)\n"
+            "print([c.rate for c in latfold.run_sweep(cfg).cells], seen)")
     proc = _fresh_python(["-c", code])
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    assert proc.stdout.strip() == "[1.0, 1.0, 1.0, 1.0] [True, True]"
 
 
 def test_demo2d_forks_no_worker_when_numpy_loaded_first(tmp_path):
@@ -218,3 +264,45 @@ def test_sweep_forks_no_worker_when_numpy_loaded_first():
     proc = _fresh_python(["-c", code])
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[1.0, 1.0, 1.0, 1.0]"
+
+
+def _children(pid: int) -> list:
+    return [int(c) for c in Path(f"/proc/{pid}/task/{pid}/children").read_text().split()]
+
+
+def _running(pid: int) -> bool:
+    """Whether process ``pid`` exists and is not a zombie."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2,
+                    reason="the sweep forks workers only on two CPUs or more")
+@pytest.mark.skipif(not Path(f"/proc/{os.getpid()}/task/{os.getpid()}/children").exists(),
+                    reason="needs /proc/<pid>/task/<pid>/children")
+def test_sweep_workers_end_when_the_parent_is_killed():
+    # a worker of a killed parent would finish its group, then wait forever
+    argv = ["sweep", "--preset", "additive", "--trials", "200"]
+    proc = subprocess.Popen([sys.executable, *_latfold_on(2, argv)], env=_fresh_env(),
+                            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    workers = []
+    try:
+        deadline = time.monotonic() + 60
+        while len(workers) < 2 and time.monotonic() < deadline and proc.poll() is None:
+            time.sleep(0.02)
+            workers = _children(proc.pid)
+        assert len(workers) == 2, "the sweep forked no two workers"
+        proc.kill()
+        proc.wait(timeout=10)
+        deadline = time.monotonic() + 10
+        while any(map(_running, workers)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not any(map(_running, workers))
+    finally:
+        proc.kill()
+        proc.wait(timeout=10)
+        for pid in filter(_running, workers):
+            os.kill(pid, signal.SIGKILL)

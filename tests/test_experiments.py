@@ -647,6 +647,15 @@ def test_demo2d_forks_no_worker_while_another_thread_runs(tmp_path, monkeypatch,
     assert multiprocessing.active_children() == []
 
 
+@pytest.mark.parametrize("lam", ["1e-100", "1e+100"])
+def test_cli_demo2d_recovers_at_extreme_inradius(lam, tmp_path, capsys):
+    assert main(["demo2d", "--lam", lam, "--power-trials", "20", "--out", str(tmp_path)]) == 0
+    summary = json.loads(capsys.readouterr().out)
+    for name in ("square", "hexagon"):
+        assert summary[name]["max_error"] <= 1e-8 * summary[name]["peak"]
+        assert summary[name]["peak"] == pytest.approx(3 * float(lam), rel=0.5)
+
+
 @pytest.mark.xfail(strict=True, raises=DemoRecoveryError,
                    reason="hexagon LASSO ends off by lattice vectors on seed 138")
 def test_demo2d_seed_138_recovers(tmp_path):

@@ -453,6 +453,19 @@ def test_relevant_vectors_derived_equal_literal_sets(lam):
         assert set(got) == set(want), (family, n)          # exact, no tolerance
 
 
+@pytest.mark.parametrize("lam", [1e-100, 1.0, 1e100])
+def test_in_voronoi_cell_slack_scales_with_inradius(lam):
+    # every facet midpoint is in the closed cell, and a point 1% beyond it
+    # is not, at any inradius (d4 and e8 at lam**0.3: a volume lam**8 leaves
+    # floating-point range)
+    for family, n, inradius in [(ZN, 2, lam), (A2, 2, lam), (DN, 4, lam**0.3),
+                                (E8, 8, lam**0.3)]:
+        lat = make_lattice(family, n, inradius)
+        for v in relevant_vectors(lat):
+            assert in_voronoi_cell(lat, v / 2), (family, inradius, v)
+            assert not in_voronoi_cell(lat, 1.01 * v / 2), (family, inradius, v)
+
+
 def test_relevant_vectors_refuse_above_ten_dimensions():
     lat = make_lattice(ZN, 11, 1.0)
     for call in (lambda: relevant_vectors(lat),
