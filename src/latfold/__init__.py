@@ -27,8 +27,8 @@ from .lattices import (A2, DN, E8, FAMILIES, ZN, ConfigurationError,
                        nearest_point, relevant_vectors, snap_to_lattice,
                        voronoi_cell_polygon)
 from .moments import (EquivalentGains, SecondMomentEstimate, equivalent_gains,
-                      estimate_second_moment, mse_ratio, predicted_mse,
-                      sample_uniform_cell, table1_report)
+                      estimate_second_moment, mse_ratio, sample_uniform_cell,
+                      table1_report)
 from .signals import DegenerateSignalError, SignalConfig, make_test_signal
 from .channels import add_noise, fold_signal, lattice_quantize, scalar_quantize
 from .recovery import (OobOperator, RecoveryNumericalError, RecoveryResult,

@@ -28,7 +28,7 @@ import numpy as np
 from . import _blas_one_thread
 from .channels import (_check_bits, _check_snr, add_noise, fold_signal,
                        lattice_quantize, scalar_quantize)
-from .lattices import (A2, E8, ZN, ConfigurationError, ScaledLattice, _is_integer,
+from .lattices import (A2, E8, ZN, ConfigurationError, ScaledLattice, _check_count, _is_integer,
                        folds_to_zero, in_voronoi_cell, make_lattice, voronoi_cell_polygon)
 from .moments import ESTIMATED_FAMILIES, _worker_count, sample_uniform_cell
 from .recovery import (b2r2_recover, build_oob_operator, check_recovery,
@@ -163,13 +163,10 @@ class ExperimentConfig:
             bad = [v for v in values if v not in known]
             if bad:
                 raise ConfigurationError(f"unknown {name} {bad[0]!r}, known: {known}")
-        for key in ("n_trials", "master_seed"):
-            if not _is_integer(getattr(self, key)):
-                raise ConfigurationError(f"{key} must be an integer, got {getattr(self, key)!r}")
-        if self.n_trials < 1:
-            raise ConfigurationError(f"n_trials must be >= 1, got {self.n_trials!r}")
-        if not (_is_integer(self.hod_order) and self.hod_order >= 1):
-            raise ConfigurationError(f"hod_order must be an integer >= 1, got {self.hod_order!r}")
+        _check_count("n_trials", self.n_trials)
+        _check_count("hod_order", self.hod_order)
+        if not _is_integer(self.master_seed):
+            raise ConfigurationError(f"master_seed must be an integer, got {self.master_seed!r}")
         if not 0 <= self.master_seed < 2**32:       # the seeds keep its low 32 bits
             raise ConfigurationError(f"master_seed must be in 0..{2**32 - 1}, "
                                      f"got {self.master_seed!r}")
@@ -387,34 +384,31 @@ def _run_cell_trials(cfg: ExperimentConfig, of, kind: str, level, arch: str, dra
         wall_time=time.perf_counter() - t0, error=error)
 
 
-def _run_group(cfg: ExperimentConfig, of, kind: str, level, lattice) -> list:
-    """The cells of one (OF, level) group, one per architecture, in order.
+def _run_group(group) -> list:
+    """The cells of one ``(cfg, OF, kind, level)`` group, one per architecture, in order.
 
     The signal seed does not depend on the architecture, so architectures
-    that fold with the same lattice share the ``draws`` memo: every trial,
-    drawn in one pass so that the draw and then the solver stay hot in
-    cache. The memo keeps no exception: a failed lattice or draw raises
-    again, with the same message, in each cell that needs it.
+    that fold with the same lattice share the ``draws`` memo: the lattice
+    and every trial, drawn in one pass so that the draw and then the
+    solver stay hot in cache. The memo keeps no exception: a failed lattice
+    or draw raises again, with the same message, in each cell that needs it.
     """
+    cfg, of, kind, level = group
+
     @functools.cache
     def draws(family):
-        lat = lattice(family)
+        lat = make_lattice(family, cfg.n_channels, cfg.lam)
         seeds = (trial_seed(cfg.master_seed, of, kind, level, t) for t in range(cfg.n_trials))
         return tuple((lat, draw_folded(cfg, of, lat, seed)) for seed in seeds)
 
     return [_run_cell_trials(cfg, of, kind, level, arch, draws) for arch in cfg.architectures]
 
 
-# A pool task is pickled, but the runner is a closure (over the sweep's config
-# and lattice memo, or the demo's lattices): the pool's initializer hands it to
-# each forked worker once, through fork, and the worker keeps it here. The
-# parent never sets it.
-_worker_run = None
 _PR_SET_PDEATHSIG = 1           # linux/prctl.h
 
 
-def _adopt_runner(run, parent: int) -> None:
-    """Pool initializer: keep ``run``, and end with the ``parent`` process.
+def _end_with_parent(parent: int) -> None:
+    """Pool initializer: end the worker with the ``parent`` process.
 
     A worker whose parent was killed would finish its task and then wait
     forever for the next one. So the kernel sends the worker SIGTERM when
@@ -422,8 +416,6 @@ def _adopt_runner(run, parent: int) -> None:
     parent PID is no longer ``parent``) exits here. Without ``prctl`` (not
     Linux) only that check holds.
     """
-    global _worker_run
-    _worker_run = run
     import ctypes                   # numpy and multiprocessing have loaded both
     import signal
     prctl = getattr(ctypes.CDLL(None), "prctl", None)
@@ -433,33 +425,29 @@ def _adopt_runner(run, parent: int) -> None:
         os._exit(1)
 
 
-def _run_in_worker(task):
-    return _worker_run(task)
+def _run_forked(fn, tasks: list) -> list:
+    """``fn`` of each task, submitted in the order given, in forked processes.
 
-
-def _run_forked(run, tasks: list) -> list:
-    """``run`` of each task, submitted in the order given, in forked processes.
-
-    The pool holds one process per CPU this process may run on, at most one
-    per task, and the results come back in task order. A forked worker
-    inherits ``run`` (a memo in it starts empty in each worker) and the BLAS
-    pin of ``import latfold``, without re-importing anything. A worker ends
-    with this process, even when this process is killed. The tasks run
-    here, in turn, when the pool would hold one process, while another
-    thread runs (forking a threaded process is unsafe), or when numpy was
-    loaded before ``import latfold`` could pin BLAS to one thread. No worker
-    outlives the call.
+    ``fn`` is a module-level function and each task plain data, so both
+    pickle. The pool holds one process per CPU this process may run on, at
+    most one per task, and the results come back in task order. A forked
+    worker inherits the BLAS pin of ``import latfold`` without re-importing
+    anything, and ends with this process, even when this process is killed.
+    The tasks run here, in turn, when the pool would hold one process, while
+    another thread runs (forking a threaded process is unsafe), or when
+    numpy was loaded before ``import latfold`` could pin BLAS to one thread.
+    No worker outlives the call.
     """
     workers = min(_worker_count(), len(tasks))
     if workers <= 1 or not _blas_one_thread or threading.active_count() > 1:
-        return [run(task) for task in tasks]
+        return [fn(task) for task in tasks]
     from concurrent.futures import ProcessPoolExecutor
     from multiprocessing import get_context
 
     pool = ProcessPoolExecutor(workers, mp_context=get_context("fork"),
-                               initializer=_adopt_runner, initargs=(run, os.getpid()))
+                               initializer=_end_with_parent, initargs=(os.getpid(),))
     try:
-        return list(pool.map(_run_in_worker, tasks))
+        return list(pool.map(fn, tasks))
     finally:
         pool.shutdown(cancel_futures=True)          # joins every worker
 
@@ -468,9 +456,9 @@ def run_sweep(cfg: ExperimentConfig) -> ExperimentResult:
     """Run every (OF, level, architecture) cell of the sweep, in grid order.
 
     Per-trial seeds hash the cell coordinates and the trial index, so adding
-    grid cells never perturbs existing ones. Each fold lattice is built once
-    per process and each draw once per group (``_run_group``); a trial that
-    raises fails only its own cell.
+    grid cells never perturbs existing ones. Each fold lattice and each draw
+    is built once per group (``_run_group``); a trial that raises fails only
+    its own cell.
 
     The (OF, level) groups run through ``_run_forked``, in one worker
     process per CPU this process may run on. The highest OF, whose records
@@ -480,19 +468,14 @@ def run_sweep(cfg: ExperimentConfig) -> ExperimentResult:
     is about 50 MB resident, about 11 MB of it its own (fork shares the rest
     with this process).
     """
-    groups = [(of, kind, level) for of in cfg.of_list for kind, level in _levels(cfg)]
-    lattice = functools.cache(lambda family: make_lattice(family, cfg.n_channels, cfg.lam))
-
-    def run(group) -> list:
-        return _run_group(cfg, *group, lattice)
-
-    order = sorted(range(len(groups)), key=lambda i: -groups[i][0])
+    groups = [(cfg, of, kind, level) for of in cfg.of_list for kind, level in _levels(cfg)]
+    order = sorted(range(len(groups)), key=lambda i: -groups[i][1])
     # Every group needs scipy (``concentration_modes``, ``_window_solve``).
     # Loaded here, before the fork, the workers share its modules. Loaded in
     # each new worker instead, it cut the quantization sweep's items/s in the
     # benchmark by 24-34% (2 vCPUs).
     import scipy.linalg  # noqa: F401
-    done = dict(zip(order, _run_forked(run, [groups[i] for i in order])))
+    done = dict(zip(order, _run_forked(_run_group, [groups[i] for i in order])))
     return ExperimentResult(config=cfg,
                             cells=tuple(c for i in range(len(groups)) for c in done[i]))
 
@@ -547,6 +530,10 @@ def emit_tables(result: ExperimentResult, fmt: str = "csv") -> str:
 # 2D trajectory demo
 
 
+# the two demo geometries: the lattice family each folds with, in dimension 2
+DEMO_GEOMETRIES = {"square": ZN, "hexagon": A2}
+
+
 def demo2d_config(seed: int = 0) -> SignalConfig:
     return SignalConfig(n_channels=2, n_components=14, omega_max=10.0, of=6.0,
                         duration=1.0, dr_factor=3.0, seed=seed, complex_pair=True)
@@ -586,6 +573,15 @@ def _recover_geometry(cfg: SignalConfig, name: str, lattice: ScaledLattice):
                                 "iterations": result.iterations}
 
 
+def _demo_task(task):
+    """One ``(name, seed, lam, power_trials)`` task of the demo: a geometry or the power ratio."""
+    name, seed, lam, power_trials = task
+    if name == "power_ratio":
+        return demo_power_ratio(lam=lam, n_trials=power_trials, seed=seed)
+    return _recover_geometry(demo2d_config(seed), name,
+                             make_lattice(DEMO_GEOMETRIES[name], 2, lam))
+
+
 def emit_trajectory_demo(outdir, seed: int = 0, lam: float = 1.0,
                          power_trials: int = 200) -> dict:
     """Square vs hexagon folding of the 2D complex demo signal.
@@ -595,28 +591,23 @@ def emit_trajectory_demo(outdir, seed: int = 0, lam: float = 1.0,
     ratio over a fresh ensemble. Raises DemoRecoveryError if either
     geometry misses machine-precision reconstruction.
 
-    The square, the hexagon and the power ratio are three tasks of
-    ``_run_forked``, in one worker process per CPU this process may run on.
-    The files and the summary are byte-identical for every CPU set. Bad
-    input raises before ``outdir`` is created, an unusable ``outdir``
-    before the work, and the first failed task in task order before any
-    file is written.
+    The square, the hexagon and the power ratio are three ``_demo_task``
+    tasks of ``_run_forked``, in one worker process per CPU this process
+    may run on. The files and the summary are byte-identical for every CPU
+    set. Bad input raises before ``outdir`` is created, an unusable
+    ``outdir`` before the work, and the first failed task in task order
+    before any file is written.
     """
-    if not (_is_integer(power_trials) and power_trials >= 1):
-        raise ConfigurationError(f"power_trials must be an integer >= 1, got {power_trials!r}")
-    geometries = {"square": make_lattice(ZN, 2, lam), "hexagon": make_lattice(A2, 2, lam)}
+    _check_count("power_trials", power_trials)
+    geometries = {name: make_lattice(family, 2, lam) for name, family in DEMO_GEOMETRIES.items()}
     cfg = demo2d_config(seed)
     outdir = Path(outdir)
     with _writing(outdir):
         outdir.mkdir(parents=True, exist_ok=True)
 
-    def run(task):
-        if task == "power_ratio":
-            return demo_power_ratio(lam=lam, n_trials=power_trials, seed=seed)
-        return _recover_geometry(cfg, task, geometries[task])
-
     tasks = [*geometries, "power_ratio"]            # the costly LASSO recoveries start first
-    done = dict(zip(tasks, _run_forked(run, tasks)))
+    done = dict(zip(tasks, _run_forked(_demo_task,
+                                       [(name, seed, lam, power_trials) for name in tasks])))
     summary = {"power_ratio": done["power_ratio"]}
     with _writing(outdir):
         for name, lattice in geometries.items():
@@ -634,10 +625,8 @@ def emit_trajectory_demo(outdir, seed: int = 0, lam: float = 1.0,
 
 def demo_power_ratio(lam: float = 1.0, n_trials: int = 200, seed: int = 0) -> float:
     """Hexagon / square folded-power ratio over the 2D demo ensemble."""
-    if not (_is_integer(n_trials) and n_trials >= 1):
-        raise ConfigurationError(f"n_trials must be an integer >= 1, got {n_trials!r}")
-    hexl = make_lattice(A2, 2, lam)
-    sq = make_lattice(ZN, 2, lam)
+    _check_count("n_trials", n_trials)
+    sq, hexl = (make_lattice(DEMO_GEOMETRIES[name], 2, lam) for name in ("square", "hexagon"))
     p_hex = p_sq = 0.0
     for i in range(n_trials):
         cfg = demo2d_config(seed + i)
@@ -662,8 +651,7 @@ def quantize_bench(n_samples: int = 200000, seed: int = 0,
     checks that a common scalar quantizer yields the same MSE on cube- and
     E8-folded data; ``std_err`` is the standard error of their difference.
     """
-    if not (_is_integer(n_samples) and n_samples >= 1):
-        raise ConfigurationError(f"samples must be an integer >= 1, got {n_samples!r}")
+    _check_count("n_samples", n_samples)
     for b in bits:
         _check_bits(b)
     rng = np.random.default_rng(seed)

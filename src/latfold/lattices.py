@@ -42,6 +42,12 @@ def _is_integer(value) -> bool:       # a Python or NumPy integer, not a bool
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
+def _check_count(name: str, value, minimum: int = 1) -> None:
+    """Raise ConfigurationError, naming ``name``, unless ``value`` is an integer >= ``minimum``."""
+    if not (_is_integer(value) and value >= minimum):
+        raise ConfigurationError(f"{name} must be an integer >= {minimum}, got {value!r}")
+
+
 class UnsupportedLatticeError(ValueError):
     """Requested operation is not available for this lattice family."""
 

@@ -9,7 +9,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattices import A2, DN, E8, ZN, ConfigurationError, ScaledLattice, fold, make_lattice
+from .lattices import (A2, DN, E8, ZN, ConfigurationError, ScaledLattice, _check_count, fold,
+                       make_lattice)
 
 _CHUNK = 1 << 18
 # rows drawn, folded and squared at a time within a chunk: it bounds every
@@ -33,8 +34,6 @@ ESTIMATED_FAMILIES = (("z", ZN, 1), ("a2", A2, 2), ("d4", DN, 4), ("e8", E8, 8))
 @dataclass(frozen=True)
 class SecondMomentEstimate:
     G: float
-    mse_per_cell: float
-    n_samples: int
     std_err: float
 
 
@@ -45,7 +44,8 @@ def sample_uniform_cell(lattice: ScaledLattice, rng: np.random.Generator, size: 
     a volume-preserving bijection modulo the lattice, so no rejection is
     needed.
     """
-    u = rng.random((int(size), lattice.n))
+    _check_count("size", size)
+    u = rng.random((size, lattice.n))
     w = u @ lattice.basis.T
     r, _ = fold(w, lattice)
     return r
@@ -76,8 +76,7 @@ def _estimate_all(lattices, n_samples: int, seed) -> list:
     dimension (the costliest per sample) first, so no thread waits at a
     lattice boundary. Each lattice's sums are reduced in chunk order.
     """
-    if n_samples < 10**4:
-        raise ConfigurationError(f"need at least 1e4 samples, got {n_samples!r}")
+    _check_count("n_samples", n_samples, 10**4)
     sizes = [min(_CHUNK, n_samples - i) for i in range(0, n_samples, _CHUNK)]
     costliest_first = sorted(range(len(lattices)), key=lambda k: -lattices[k].n)
     with ThreadPoolExecutor(max_workers=_worker_count()) as ex:
@@ -94,8 +93,7 @@ def _estimate_all(lattices, n_samples: int, seed) -> list:
         denom = lat.n * lat.volume ** (2.0 / lat.n)
         G = mean / denom
         std_err = math.sqrt(var / n_samples) / denom
-        estimates.append(SecondMomentEstimate(G=G, mse_per_cell=predicted_mse(lat, G),
-                                              n_samples=n_samples, std_err=std_err))
+        estimates.append(SecondMomentEstimate(G=G, std_err=std_err))
     return estimates
 
 
@@ -113,13 +111,6 @@ def estimate_second_moment(lattice: ScaledLattice, n_samples: int, seed) -> Seco
     estimate is invariant to the inradius.
     """
     return _estimate_all([lattice], n_samples, seed)[0]
-
-
-def predicted_mse(lattice: ScaledLattice, G: float) -> float:
-    """Mean squared error per cell, ``n G V^{2/n}``, in squared signal units."""
-    if G <= 0:
-        raise ConfigurationError("G must be positive")
-    return lattice.n * G * lattice.volume ** (2.0 / lattice.n)
 
 
 def mse_ratio(l1: ScaledLattice, l2: ScaledLattice, G1: float, G2: float) -> float:

@@ -17,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from .lattices import (ConfigurationError, ScaledLattice, _check_finite,
+from .lattices import (ConfigurationError, ScaledLattice, _check_count, _check_finite,
                        nearest_point, snap_to_lattice)
 
 
@@ -90,7 +90,6 @@ class RecoveryResult:
     f_hat: np.ndarray
     p_hat: np.ndarray
     iterations: int
-    converged: bool
     objective: float = math.nan
 
 
@@ -101,8 +100,7 @@ def hod_recover(y: np.ndarray, lattice: ScaledLattice, order: int) -> RecoveryRe
     true N-th differences stay inside the cell) and anti-differences with
     the first ``order`` samples taken as fold-free anchors.
     """
-    if order < 1:
-        raise ConfigurationError("difference order must be >= 1")
+    _check_count("order", order)
     if y.shape[0] <= order:
         raise ConfigurationError("record shorter than the difference order")
     d = y
@@ -113,8 +111,7 @@ def hod_recover(y: np.ndarray, lattice: ScaledLattice, order: int) -> RecoveryRe
     for _ in range(order):
         p = np.vstack([np.zeros((1, y.shape[1])), np.cumsum(p, axis=0)])
     p_hat = snap_to_lattice(lattice, p)
-    return RecoveryResult(f_hat=y + p_hat, p_hat=p_hat, iterations=order,
-                          converged=True)
+    return RecoveryResult(f_hat=y + p_hat, p_hat=p_hat, iterations=order)
 
 
 # B2R2 commits a row whose solution lies within CONFIDENCE * lam of a
@@ -249,8 +246,7 @@ def b2r2_recover(y: np.ndarray, lattice: ScaledLattice, oob: OobOperator,
     _check_finite(y, "recovery input")
     p_fix, rounds, obj = _b2r2_lstsq(y, lattice, oob, support_margin, bound)
     p_hat = snap_to_lattice(lattice, p_fix)     # rows are decoder outputs or 0
-    return RecoveryResult(f_hat=y + p_hat, p_hat=p_hat, iterations=rounds,
-                          converged=True, objective=obj)
+    return RecoveryResult(f_hat=y + p_hat, p_hat=p_hat, iterations=rounds, objective=obj)
 
 
 def _cumsum_adjoint(g: np.ndarray) -> np.ndarray:
@@ -268,14 +264,19 @@ def lasso_b2r2_recover(y: np.ndarray, lattice: ScaledLattice,
     convergence the detected support is refit by least squares to remove
     the shrinkage bias, then ``C v`` is rounded to the lattice. ``mu``
     weighs the l1 penalty; None means ``0.1 * max |F y|``.
+
+    The solver is scale-free: it runs on the record scaled to unit peak by
+    a power of two, which is exact, so its squared quantities (the
+    objective and its floors) neither underflow nor overflow at any
+    inradius. ``C v`` is scaled back before it is rounded.
     """
     _check_finite(y, "recovery input")
-    K = oob.K
-    Fy = oob.apply(y)
-    if mu is None:
-        mu = 0.1 * float(np.abs(Fy).max())
-    if mu < 0:
+    if mu is not None and mu < 0:
         raise ConfigurationError("mu must be nonnegative")
+    K = oob.K
+    exp = math.frexp(float(np.abs(y).max()))[1]
+    Fy = oob.apply(np.ldexp(y, -exp))
+    mu = 0.1 * float(np.abs(Fy).max()) if mu is None else math.ldexp(mu, -exp)
 
     def smooth_grad(v):
         z = oob.apply(np.cumsum(v, axis=0)) + Fy
@@ -303,7 +304,6 @@ def lasso_b2r2_recover(y: np.ndarray, lattice: ScaledLattice,
     t_mom = 1.0
     prev_obj = math.inf
     it = 0
-    converged = False
     for it in range(1, LASSO_MAX_ITERS + 1):
         w = v + ((t_mom - 1.0) / (t_mom + 2.0)) * (v - v_prev)
         g, quad = smooth_grad(w)
@@ -313,7 +313,6 @@ def lasso_b2r2_recover(y: np.ndarray, lattice: ScaledLattice,
         obj = quad + mu * float(np.abs(w).sum())
         if abs(prev_obj - obj) <= LASSO_TOL * max(obj, 1e-300):
             v_prev, v = v, v_new
-            converged = True
             break
         v_prev, v, prev_obj, t_mom = v, v_new, obj, t_mom + 1.0
 
@@ -330,10 +329,10 @@ def lasso_b2r2_recover(y: np.ndarray, lattice: ScaledLattice,
         v = np.zeros_like(v)
         v[rows] = sol
 
-    p_hat = snap_to_lattice(lattice, nearest_point(np.cumsum(v, axis=0), lattice))
-    obj = float((np.abs(oob.apply(p_hat) + Fy) ** 2).sum())
-    return RecoveryResult(f_hat=y + p_hat, p_hat=p_hat, iterations=it,
-                          converged=converged, objective=obj)
+    p = np.ldexp(np.cumsum(v, axis=0), exp)
+    p_hat = snap_to_lattice(lattice, nearest_point(p, lattice))
+    obj = float((np.abs(oob.apply(p_hat) + oob.apply(y)) ** 2).sum())
+    return RecoveryResult(f_hat=y + p_hat, p_hat=p_hat, iterations=it, objective=obj)
 
 
 def check_recovery(p_hat: np.ndarray, p_true: np.ndarray,

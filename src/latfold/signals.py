@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .lattices import ConfigurationError, _check_count
+
 
 class DegenerateSignalError(ValueError):
     """Signal is identically zero and cannot be normalized."""
@@ -32,8 +34,10 @@ class SignalConfig:
     def __post_init__(self):
         if self.of <= 1:
             raise ValueError("oversampling factor must exceed 1")
-        if self.dr_factor <= 0 or self.n_components < 1:
-            raise ValueError("bad signal configuration")
+        _check_count("n_channels", self.n_channels)
+        _check_count("n_components", self.n_components)
+        if self.dr_factor <= 0:
+            raise ConfigurationError(f"dr_factor must be positive, got {self.dr_factor!r}")
         if self.complex_pair and self.n_channels != 2:
             raise ValueError("complex_pair mode requires exactly 2 channels")
 

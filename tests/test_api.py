@@ -11,6 +11,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import latfold
@@ -29,8 +30,8 @@ PUBLIC_API = [
     "equivalent_gains", "estimate_second_moment", "fold", "fold_iterative",
     "fold_signal", "folds_to_zero", "hod_recover", "in_voronoi_cell",
     "lasso_b2r2_recover", "lattice_quantize", "make_lattice",
-    "make_test_signal", "mse_ratio", "nearest_point", "predicted_mse",
-    "quantize_bench", "relevant_vectors", "run_sweep", "sample_uniform_cell",
+    "make_test_signal", "mse_ratio", "nearest_point", "quantize_bench",
+    "relevant_vectors", "run_sweep", "sample_uniform_cell",
     "scalar_quantize", "snap_to_lattice", "table1_report", "table3_config",
     "table4_config", "voronoi_cell_polygon",
 ]
@@ -96,6 +97,34 @@ def test_cpu_set_is_the_only_worker_control():
         if inspect.isfunction(value):
             assert "workers" not in inspect.signature(value).parameters, name
     assert list(inspect.signature(latfold.moments._worker_count).parameters) == []
+
+
+def _zn(n: int):
+    return latfold.make_lattice(latfold.ZN, n, 1.0)
+
+
+@pytest.mark.parametrize("call,named", [
+    (lambda: latfold.hod_recover(np.zeros((4, 1)), _zn(1), 1.5),
+     "order must be an integer >= 1, got 1.5"),
+    (lambda: latfold.hod_recover(np.zeros((4, 1)), _zn(1), True),
+     "order must be an integer >= 1, got True"),
+    (lambda: latfold.estimate_second_moment(_zn(1), 1e5, 0),
+     "n_samples must be an integer >= 10000, got 100000.0"),
+    (lambda: latfold.table1_report(1e5), "n_samples must be an integer >= 10000, got 100000.0"),
+    (lambda: latfold.SignalConfig(n_channels=1, n_components=0),
+     "n_components must be an integer >= 1, got 0"),
+    (lambda: latfold.SignalConfig(n_channels=1, n_components=2.5),
+     "n_components must be an integer >= 1, got 2.5"),
+    (lambda: latfold.SignalConfig(n_channels=0), "n_channels must be an integer >= 1, got 0"),
+    (lambda: latfold.sample_uniform_cell(_zn(2), np.random.default_rng(0), 2.7),
+     "size must be an integer >= 1, got 2.7"),
+], ids=["hod_order_float", "hod_order_bool", "second_moment_samples", "table1_samples",
+        "signal_components_0", "signal_components_float", "signal_channels_0",
+        "sample_cell_size_float"])
+def test_counts_are_checked_up_front(call, named):
+    # a bool, a float or a count below the minimum fails at once, naming the parameter
+    with pytest.raises(latfold.ConfigurationError, match=re.escape(named)):
+        call()
 
 
 def test_experiment_config_fields():

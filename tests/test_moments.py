@@ -11,8 +11,7 @@ import pytest
 
 from latfold import (A2, DN, E8, ZN, ConfigurationError, ExperimentConfig, equivalent_gains,
                      estimate_second_moment, make_lattice, mse_ratio,
-                     nearest_point, predicted_mse, sample_uniform_cell,
-                     table1_report)
+                     nearest_point, sample_uniform_cell, table1_report)
 from latfold import moments
 from latfold.cli import main
 from latfold.moments import (ESTIMATED_FAMILIES, G_CUBIC, format_report_csv,
@@ -46,8 +45,6 @@ def test_second_moment_z():
     lat = make_lattice(ZN, 1, 1.0)
     est = estimate_second_moment(lat, 10**5, seed=0)
     assert est.G == pytest.approx(1.0 / 12.0, abs=1.5e-3)
-    assert est.mse_per_cell == pytest.approx(
-        lat.n * est.G * lat.volume ** (2 / lat.n), rel=1e-12)
 
 
 def test_second_moment_a2():
@@ -170,16 +167,6 @@ def test_std_err_scaling():
     assert a.std_err / b.std_err == pytest.approx(10.0, rel=0.3)
     # and the estimate is consistent with the known value at 4 sigma
     assert abs(b.G - G_CUBIC) < 4 * b.std_err
-
-
-def test_predicted_mse_examples():
-    z1 = make_lattice(ZN, 1, 1.0)
-    assert predicted_mse(z1, 1.0 / 12.0) == pytest.approx(1.0 / 3.0)
-    sq = make_lattice(ZN, 2, 1.0)
-    assert predicted_mse(sq, 1.0 / 12.0) == pytest.approx(2.0 / 3.0)
-    e8 = make_lattice(E8, 8, 1.0)
-    assert predicted_mse(e8, 0.0717) == pytest.approx(8 * 0.0717 * 2.0, rel=1e-12)
-    assert predicted_mse(e8, 0.0717) == pytest.approx(1.147, abs=2e-3)
 
 
 def test_mse_ratio_hexagon():
