@@ -13,17 +13,13 @@ import numbers
 
 import numpy as np
 
-from .lattices import ConfigurationError, ScaledLattice, _check_finite, fold, nearest_point
+from .lattices import (ConfigurationError, ScaledLattice, _check_finite, _check_positive, fold,
+                       nearest_point)
 
 
 def _check_bits(bits) -> None:
     if isinstance(bits, bool) or not isinstance(bits, numbers.Real) or bits not in range(1, 25):
         raise ConfigurationError(f"bits must be an integer in 1..24, got {bits!r}")
-
-
-def _check_snr(snr_db) -> None:
-    if isinstance(snr_db, bool) or not (isinstance(snr_db, numbers.Real) and 0 < snr_db < math.inf):
-        raise ConfigurationError(f"snr_db must be positive and finite, got {snr_db!r}")
 
 
 def fold_signal(f: np.ndarray, lattice: ScaledLattice):
@@ -41,7 +37,7 @@ def add_noise(y: np.ndarray, snr_db: float, seed) -> np.ndarray:
     the empirical mean of ``|y[k]|^2 / n`` over the record. ``snr_db`` is
     finite: a noiseless record is not passed through the channel.
     """
-    _check_snr(snr_db)
+    _check_positive("snr_db", snr_db)
     _check_finite(y, "channel input")
     rng = np.random.default_rng(seed)
     var = float((y**2).sum() / y.size) * 10.0 ** (-snr_db / 10.0)

@@ -26,10 +26,10 @@ from typing import ClassVar, Mapping, Optional
 import numpy as np
 
 from . import _blas_one_thread
-from .channels import (_check_bits, _check_snr, add_noise, fold_signal,
-                       lattice_quantize, scalar_quantize)
-from .lattices import (A2, E8, ZN, ConfigurationError, ScaledLattice, _check_count, _is_integer,
-                       folds_to_zero, in_voronoi_cell, make_lattice, voronoi_cell_polygon)
+from .channels import _check_bits, add_noise, fold_signal, lattice_quantize, scalar_quantize
+from .lattices import (A2, E8, ZN, ConfigurationError, ScaledLattice, _check_count,
+                       _check_positive, _is_integer, folds_to_zero, in_voronoi_cell,
+                       make_lattice, voronoi_cell_polygon)
 from .moments import ESTIMATED_FAMILIES, _worker_count, sample_uniform_cell
 from .recovery import (b2r2_recover, build_oob_operator, check_recovery,
                        hod_recover, lasso_b2r2_recover)
@@ -170,9 +170,10 @@ class ExperimentConfig:
         if not 0 <= self.master_seed < 2**32:       # the seeds keep its low 32 bits
             raise ConfigurationError(f"master_seed must be in 0..{2**32 - 1}, "
                                      f"got {self.master_seed!r}")
-        for check, levels in ((_check_snr, self.snr_db_list), (_check_bits, self.bits_list)):
-            for level in [v for v in levels if v is not None]:
-                check(level)
+        for level in [v for v in self.snr_db_list if v is not None]:
+            _check_positive("snr_db", level)
+        for level in [v for v in self.bits_list if v is not None]:
+            _check_bits(level)
         plain = [a for a in self.architectures if ARCHITECTURES[a]["quantizer"] is None]
         if plain and any(b is not None for b in self.bits_list):
             raise ConfigurationError(f"architecture {plain[0]!r} has no quantizer for bits_list")
@@ -269,17 +270,28 @@ PRESETS = {"additive": table3_config, "quantization": table4_config}
 
 @dataclass(frozen=True)
 class CellResult:
+    """One sweep cell; ``trials`` holds each trial's ``run_trial`` outcome, None if it raised."""
     of: float
     level_kind: str                # "snr", "bits" or "clean"
     level: Optional[float]
     architecture: str
     algorithm: str
-    n_trials: int
-    n_success: int
-    rate: float
-    mse_mean: Optional[float]      # over successful trials
+    trials: tuple
     wall_time: float
     error: Optional[str] = None
+
+    @property
+    def n_trials(self) -> int:
+        return len(self.trials)
+
+    @property
+    def rate(self) -> float:
+        return sum(bool(t and t[0]) for t in self.trials) / self.n_trials
+
+    @property
+    def mse_mean(self) -> Optional[float]:         # over the recovered trials, in order
+        mses = [t[1] for t in self.trials if t and t[0]]
+        return sum(mses) / len(mses) if mses else None
 
     @property
     def mse_db(self) -> Optional[float]:
@@ -328,13 +340,13 @@ def draw_folded(cfg: ExperimentConfig, of, lattice: ScaledLattice, sig_seed):
     return fold_signal(f, lattice)
 
 
-def run_trial(cfg: ExperimentConfig, of, kind: str, level, arch: str,
-              lattice: ScaledLattice, drawn, noise_seed):
-    """One trial of a ``draw_folded(cfg, of, lattice, ...)`` draw.
+def run_trial(cfg: ExperimentConfig, of, kind: str, level, arch: str, t: int,
+              lattice: ScaledLattice, drawn):
+    """Trial ``t`` of a cell, on its ``draw_folded(cfg, of, lattice, ...)`` draw.
 
-    Returns (all offsets recovered, channel MSE per coordinate).
+    Returns (all offsets recovered, channel MSE per coordinate). Only an
+    ``snr`` cell draws from a noise seed, ``noise_seed(..., t)``.
     """
-    layout = ARCHITECTURES[arch]
     clean, p_true = drawn
     y = clean
     fs, K, m_max = _geometry(cfg, of)
@@ -342,14 +354,11 @@ def run_trial(cfg: ExperimentConfig, of, kind: str, level, arch: str,
     _, solver_act, _ = ACTIVE_SCHEDULE[int(of)]
 
     if kind == "snr":
-        y = add_noise(clean, float(level), noise_seed)
-    elif kind == "bits":
-        if layout["quantizer"] == "scalar":
-            y = scalar_quantize(clean, float(level), cfg.lam)
-        elif layout["quantizer"] == "lattice":
-            y = lattice_quantize(clean, lattice, float(level))
-        else:
-            raise ConfigurationError(f"architecture {arch} has no quantizer")
+        y = add_noise(clean, float(level), noise_seed(cfg.master_seed, of, kind, level, t))
+    elif kind == "bits" and ARCHITECTURES[arch]["quantizer"] == "scalar":
+        y = scalar_quantize(clean, float(level), cfg.lam)
+    elif kind == "bits":                   # the config gives every bits cell a quantizer
+        y = lattice_quantize(clean, lattice, float(level))
 
     oob = build_oob_operator(K, band, fs, cfg.guard)
     if cfg.algorithm == "b2r2":
@@ -364,24 +373,20 @@ def run_trial(cfg: ExperimentConfig, of, kind: str, level, arch: str,
 
 def _run_cell_trials(cfg: ExperimentConfig, of, kind: str, level, arch: str, draws) -> CellResult:
     t0 = time.perf_counter()
-    succ, error = [], None
     try:
-        for t, drawn in enumerate(draws(ARCHITECTURES[arch]["fold"])):
-            nseed = (noise_seed(cfg.master_seed, of, kind, level, t)
-                     if kind == "snr" else None)    # only the noise draws from it
-            ok, mse = run_trial(cfg, of, kind, level, arch, *drawn, nseed)
-            if ok:
-                succ.append(mse)
-    except Exception as exc:               # per-cell failure, sweep continues
-        succ, error = [], f"{type(exc).__name__}: {exc}"
-    return CellResult(
-        of=float(of), level_kind=kind,
-        level=None if level is None else float(level),
-        architecture=arch, algorithm=cfg.algorithm,
-        n_trials=cfg.n_trials, n_success=len(succ),
-        rate=len(succ) / cfg.n_trials,
-        mse_mean=(sum(succ) / len(succ)) if succ else None,
-        wall_time=time.perf_counter() - t0, error=error)
+        lattice, folded = draws(ARCHITECTURES[arch]["fold"])
+        trials, error = [], None
+    except Exception as exc:               # no lattice or no draw: every trial fails
+        folded, trials, error = (), [None] * cfg.n_trials, f"{type(exc).__name__}: {exc}"
+    for t, drawn in enumerate(folded):
+        try:
+            trials.append(run_trial(cfg, of, kind, level, arch, t, lattice, drawn))
+        except Exception as exc:           # fails this trial only
+            trials.append(None)
+            error = error or f"trial {t}: {type(exc).__name__}: {exc}"
+    return CellResult(of=float(of), level_kind=kind, level=None if level is None else float(level),
+                      architecture=arch, algorithm=cfg.algorithm, trials=tuple(trials),
+                      wall_time=time.perf_counter() - t0, error=error)
 
 
 def _run_group(group) -> list:
@@ -399,7 +404,7 @@ def _run_group(group) -> list:
     def draws(family):
         lat = make_lattice(family, cfg.n_channels, cfg.lam)
         seeds = (trial_seed(cfg.master_seed, of, kind, level, t) for t in range(cfg.n_trials))
-        return tuple((lat, draw_folded(cfg, of, lat, seed)) for seed in seeds)
+        return lat, tuple(draw_folded(cfg, of, lat, seed) for seed in seeds)
 
     return [_run_cell_trials(cfg, of, kind, level, arch, draws) for arch in cfg.architectures]
 
@@ -457,8 +462,8 @@ def run_sweep(cfg: ExperimentConfig) -> ExperimentResult:
 
     Per-trial seeds hash the cell coordinates and the trial index, so adding
     grid cells never perturbs existing ones. Each fold lattice and each draw
-    is built once per group (``_run_group``); a trial that raises fails only
-    its own cell.
+    is built once per group (``_run_group``). Each cell keeps its per-trial
+    outcomes (``CellResult.trials``); a trial that raises fails only itself.
 
     The (OF, level) groups run through ``_run_forked``, in one worker
     process per CPU this process may run on. The highest OF, whose records

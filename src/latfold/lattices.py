@@ -48,6 +48,13 @@ def _check_count(name: str, value, minimum: int = 1) -> None:
         raise ConfigurationError(f"{name} must be an integer >= {minimum}, got {value!r}")
 
 
+def _check_positive(name: str, value, above: float = 0.0) -> None:
+    """Raise ConfigurationError, naming ``name``, unless ``value`` is a finite real > ``above``."""
+    if isinstance(value, bool) or not (isinstance(value, numbers.Real) and above < value < math.inf):
+        bound = "positive" if above == 0 else f"above {above:g}"
+        raise ConfigurationError(f"{name} must be {bound} and finite, got {value!r}")
+
+
 class UnsupportedLatticeError(ValueError):
     """Requested operation is not available for this lattice family."""
 
@@ -203,8 +210,7 @@ FAMILIES = tuple(_SPECS)
 
 def make_lattice(family: str, n: int, lam: float) -> ScaledLattice:
     """Build a ScaledLattice with inradius ``lam`` (so ``d_min = 2*lam``)."""
-    if not 0 < lam < math.inf:                          # NaN fails too
-        raise ConfigurationError(f"inradius must be positive and finite, got {lam}")
+    _check_positive("inradius", lam)
     if family not in FAMILIES:
         raise ConfigurationError(f"unknown lattice family {family!r}")
     spec = _SPECS[family]

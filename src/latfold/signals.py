@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattices import ConfigurationError, _check_count
+from .lattices import ConfigurationError, _check_count, _check_positive
 
 
 class DegenerateSignalError(ValueError):
@@ -32,14 +32,14 @@ class SignalConfig:
     complex_pair: bool = False     # 2 channels = Re/Im of a complex signal
 
     def __post_init__(self):
-        if self.of <= 1:
-            raise ValueError("oversampling factor must exceed 1")
         _check_count("n_channels", self.n_channels)
         _check_count("n_components", self.n_components)
-        if self.dr_factor <= 0:
-            raise ConfigurationError(f"dr_factor must be positive, got {self.dr_factor!r}")
+        _check_count("seed", self.seed, 0)
+        for name in ("omega_max", "duration", "dr_factor"):
+            _check_positive(name, getattr(self, name))
+        _check_positive("of", self.of, 1)
         if self.complex_pair and self.n_channels != 2:
-            raise ValueError("complex_pair mode requires exactly 2 channels")
+            raise ConfigurationError(f"complex_pair needs n_channels 2, got {self.n_channels!r}")
 
     @property
     def fs(self) -> float:

@@ -1,8 +1,9 @@
 """Acceptance suite: every criterion at its stated tolerance.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see one pass/fail
-line per criterion. The whole module takes about 12 s on 2 cores; every
-criterion prints its runtime.
+line per criterion. The whole module takes 6.0-6.3 s on 2 vCPUs; every
+criterion prints its runtime. Criteria 5-7 read the cells of small sweeps
+(``run_sweep``), so they run the sweep's own trials on its seeds.
 """
 
 import math
@@ -14,9 +15,8 @@ from latfold import (A2, DN, E8, ZN, ExperimentConfig, SignalConfig,
                      check_recovery, fold, fold_iterative, fold_signal,
                      hod_recover, make_lattice, make_test_signal,
                      nearest_point, quantize_bench, relevant_vectors,
-                     table1_report)
-from latfold.experiments import (ARCHITECTURES, draw_folded,
-                                 emit_trajectory_demo, run_trial)
+                     run_sweep, table1_report)
+from latfold.experiments import emit_trajectory_demo
 from oracles import closest_point
 
 
@@ -111,33 +111,23 @@ def test_criterion_4_quantizer_laws():
 
 # ------------------------------------------------------- recovery machinery
 
-def _run_cell(arch, of, n_trials, kind="clean", level=None, seed0=0):
-    """Rate, and the MSE of each successful trial, from the sweep's trial.
+def _sweep(**grid):
+    """The cells of a sweep on the default seeds, by (architecture, OF, level)."""
+    return {(c.architecture, c.of, c.level): c for c in run_sweep(ExperimentConfig(**grid)).cells}
 
-    The suite draws its own seeds: [seed0, of, t] for the signal and
-    [seed0 + 5, of, t] for the noise.
-    """
-    cfg = ExperimentConfig()
-    lattice = make_lattice(ARCHITECTURES[arch]["fold"], cfg.n_channels, cfg.lam)
-    mses = {}
-    for t in range(n_trials):
-        drawn = draw_folded(cfg, of, lattice, np.random.SeedSequence([seed0, of, t]))
-        ok, mse = run_trial(cfg, of, kind, level, arch, lattice, drawn,
-                            np.random.SeedSequence([seed0 + 5, of, t]))
-        if ok:
-            mses[t] = mse
-    return len(mses) / n_trials, mses
+
+def _gains_db(a, b):
+    """Per-trial MSE gain of cell ``a`` over cell ``b``, over the trials both recovered."""
+    return [10 * math.log10(x[1] / y[1]) for x, y in zip(a.trials, b.trials)
+            if x and x[0] and y and y[0]]
 
 
 # ---------------------------------------------------------------- criterion 5
 
 def test_criterion_5_noiseless_recovery():
     t0 = time.perf_counter()
-    rates = {}
-    for arch in ("square", "e8"):
-        for of in (2, 4, 6, 8):
-            rates[(arch, of)], _ = _run_cell(arch, of, 50)
-    b2r2_ok = all(r == 1.0 for r in rates.values())
+    rates = {key[:2]: c.rate for key, c in _sweep(n_trials=50).items()}
+    b2r2_ok = len(rates) == 8 and all(r == 1.0 for r in rates.values())
 
     # higher-order differences on the 1D and 2D demos at OF = 8, N = 2
     hod_ok = True
@@ -169,12 +159,11 @@ def test_criterion_5_noiseless_recovery():
 
 def test_criterion_6_threshold_ordering():
     t0 = time.perf_counter()
-    r_sq_625, _ = _run_cell("square", 6, 50, "snr", 25.0)
-    r_e8_625, _ = _run_cell("e8", 6, 50, "snr", 25.0)
-    r_sq_430, _ = _run_cell("square", 4, 50, "snr", 30.0)
-    r_e8_430, _ = _run_cell("e8", 4, 50, "snr", 30.0)
-    r_e8sq_4b, _ = _run_cell("e8+sqq", 6, 50, "bits", 4)
-    r_e8e8_4b, _ = _run_cell("e8+e8q", 6, 50, "bits", 4)
+    snr = _sweep(of_list=(4, 6), snr_db_list=(25, 30), n_trials=50)
+    bits = _sweep(of_list=(6,), bits_list=(4,), architectures=("e8+sqq", "e8+e8q"), n_trials=50)
+    r_sq_625, r_e8_625 = snr["square", 6, 25].rate, snr["e8", 6, 25].rate
+    r_sq_430, r_e8_430 = snr["square", 4, 30].rate, snr["e8", 4, 30].rate
+    r_e8sq_4b, r_e8e8_4b = bits["e8+sqq", 6, 4].rate, bits["e8+e8q", 6, 4].rate
     dt = time.perf_counter() - t0
     ok = (r_sq_625 >= 0.9 and r_e8_625 >= 0.9
           and r_e8_430 > r_sq_430
@@ -190,17 +179,13 @@ def test_criterion_6_threshold_ordering():
 
 def test_criterion_7_mse_gain():
     t0 = time.perf_counter()
-    n_trials = 120
-    _, mse_sq = _run_cell("square", 8, n_trials, "snr", 30.0)
-    _, mse_e8 = _run_cell("e8", 8, n_trials, "snr", 30.0)
-    joint = sorted(set(mse_sq) & set(mse_e8))
-    gains = [10 * math.log10(mse_sq[t] / mse_e8[t]) for t in joint]
-    g_noise = float(np.mean(gains))
+    snr = _sweep(of_list=(8,), snr_db_list=(30,), n_trials=120)
+    joint = _gains_db(snr["square", 8, 30], snr["e8", 8, 30])
+    g_noise = float(np.mean(joint))
 
-    _, q_sq = _run_cell("sq+sqq", 8, n_trials, "bits", 8)
-    _, q_e8 = _run_cell("e8+e8q", 8, n_trials, "bits", 8)
-    jq = sorted(set(q_sq) & set(q_e8))
-    g_quant = float(np.mean([10 * math.log10(q_sq[t] / q_e8[t]) for t in jq]))
+    bits = _sweep(of_list=(8,), bits_list=(8,), architectures=("sq+sqq", "e8+e8q"), n_trials=120)
+    jq = _gains_db(bits["sq+sqq", 8, 8], bits["e8+e8q", 8, 8])
+    g_quant = float(np.mean(jq))
     dt = time.perf_counter() - t0
     ok = (len(joint) >= 100 and abs(g_noise - 3.66) <= 0.3
           and len(jq) >= 100 and abs(g_quant - 3.66) <= 0.3)

@@ -147,8 +147,7 @@ def test_sweep_deterministic():
     r2 = run_sweep(cfg)
     for a, b in zip(r1.cells, r2.cells):
         assert a.rate == b.rate
-        assert a.n_success == b.n_success
-        assert a.mse_mean == b.mse_mean
+        assert a.trials == b.trials
 
 
 @pytest.mark.parametrize("field,value,named", [
@@ -409,6 +408,23 @@ def test_mixed_grid_csv_pinned():
         "7cdab48b5e59f93cfcdb85c59f3338f212cca9d7286551253df10c00f86b9959"
 
 
+def _trials_digest(cfg):
+    lines = [f"{ok:d} {mse.hex()}" for c in run_sweep(cfg).cells for ok, mse in c.trials]
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+def test_trial_outcomes_pinned():
+    # each trial's outcome and the exact bits of its MSE: a trial that flips
+    # shows here even when the cell means in the CSV do not move
+    mixed = ExperimentConfig(of_list=(4, 6), snr_db_list=(), bits_list=(4, 8, None),
+                             architectures=("sq+sqq", "e8+sqq", "e8+e8q"), n_trials=3,
+                             master_seed=2)
+    assert _trials_digest(mixed) == \
+        "26abb4ddafadbfc656e643f9f08a6da4b251fda2a8c5e0ac19027ae44bef492c"
+    assert _trials_digest(table3_config(n_trials=2)) == \
+        "c7323f7b3da17d205aff021b5b83bbcf58d094ce2a3661396bfc300968441736"
+
+
 def test_shared_draws_leave_rows_unchanged(monkeypatch, cpu_set):
     import latfold.experiments as experiments
     cpu_set(1)                                  # the draws are counted in this process
@@ -467,7 +483,9 @@ def test_tables_same_for_every_worker_count(grid, cpu_set):
     tables = {}
     for cpus in (1, 2, 7):                      # 7: more CPUs than the 4 groups
         cpu_set(cpus)
-        tables[cpus] = [emit_tables(run_sweep(cfg), fmt) for fmt in ("csv", "json")]
+        result = run_sweep(cfg)
+        tables[cpus] = [*(emit_tables(result, fmt) for fmt in ("csv", "json")),
+                        [c.trials for c in result.cells]]
     assert tables[2] == tables[1] and tables[7] == tables[1]
     assert multiprocessing.active_children() == []
 
@@ -493,13 +511,40 @@ def test_cell_error_in_worker_stays_that_cell(workers, monkeypatch, cpu_set):
     assert multiprocessing.active_children() == []
     failed = [c for c in cells if c.error]
     assert [(c.of, c.architecture) for c in failed] == [(8, "e8")] * 2
-    assert all(c.n_success == 0 and c.mse_mean is None for c in failed)
+    assert all(c.rate == 0 and c.mse_mean is None for c in failed)
     assert all(c.error is None for c in cells if c not in failed)
     pids = {int(c.error.rsplit(" ", 1)[1]) for c in failed}
     if workers == 1:
         assert pids == {os.getpid()}
     else:
         assert os.getpid() not in pids                  # the forked workers ran them
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_raising_trial_fails_only_itself(workers, monkeypatch, cpu_set):
+    import latfold.experiments as experiments
+    cfg = _tiny_config(of_list=(6, 8), n_trials=4)
+    cpu_set(workers)
+    clean = run_sweep(cfg).cells
+    original = experiments.run_trial
+
+    def run_trial(cfg, of, kind, level, arch, t, *a):
+        if arch == "e8" and of == 8 and t == 2:
+            raise RuntimeError("trial raised")
+        return original(cfg, of, kind, level, arch, t, *a)
+
+    monkeypatch.setattr(experiments, "run_trial", run_trial)     # forked workers inherit it
+    cells = run_sweep(cfg).cells
+    assert multiprocessing.active_children() == []
+    for c, ref in zip(cells, clean):
+        if (c.of, c.architecture) != (8, "e8"):
+            assert (c.trials, c.error) == (ref.trials, ref.error)
+            continue
+        others = ref.trials[:2] + ref.trials[3:]
+        assert c.trials == others[:2] + (None,) + others[2:]
+        assert c.rate == 3 / 4 and all(ok for ok, _ in others)
+        assert c.mse_mean == sum(mse for _, mse in others) / 3
+        assert c.error == "trial 2: RuntimeError: trial raised"
 
 
 def test_sweep_forks_no_worker_while_another_thread_runs(monkeypatch, cpu_set):
@@ -514,7 +559,8 @@ def test_sweep_forks_no_worker_while_another_thread_runs(monkeypatch, cpu_set):
         release.set()
         other.join(timeout=10)
     assert not other.is_alive()
-    assert [c.error for c in cells if c.error] == [f"RuntimeError: trial in process {os.getpid()}"]
+    assert [c.error for c in cells if c.error] == \
+        [f"trial 0: RuntimeError: trial in process {os.getpid()}"]
 
 
 def test_cli_sweep_cell_error_exits_1_leaving_no_worker(monkeypatch, tmp_path, capsys,
@@ -525,7 +571,7 @@ def test_cli_sweep_cell_error_exits_1_leaving_no_worker(monkeypatch, tmp_path, c
     _tiny_config(of_list=(6, 8), n_trials=2).save(cfg_path)
     assert main(["sweep", "--config", str(cfg_path)]) == 1
     assert multiprocessing.active_children() == []
-    assert "cell error: OF=8 clean=None e8: RuntimeError" in capsys.readouterr().err
+    assert "cell error: OF=8 clean=None e8: trial 0: RuntimeError" in capsys.readouterr().err
 
 
 def test_emit_csv_byte_stable():

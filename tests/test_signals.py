@@ -1,7 +1,11 @@
+import math
+import re
+
 import numpy as np
 import pytest
 
-from latfold import DegenerateSignalError, SignalConfig, make_test_signal
+from latfold import ConfigurationError, DegenerateSignalError, SignalConfig, make_test_signal
+from latfold.experiments import emit_trajectory_demo
 from latfold.signals import _normalize
 from latfold.recovery import build_oob_operator
 
@@ -83,10 +87,27 @@ def test_complex_pair_mode():
 
 
 def test_complex_pair_needs_two_channels():
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigurationError, match="complex_pair needs n_channels 2, got 3"):
         SignalConfig(n_channels=3, complex_pair=True)
 
 
 def test_of_must_exceed_one():
     with pytest.raises(ValueError):
         SignalConfig(n_channels=1, of=1.0)
+
+
+@pytest.mark.parametrize("field,value", [
+    *((field, value) for field in ("omega_max", "of", "duration", "dr_factor")
+      for value in (math.nan, math.inf, 0.0, -1.0)),
+    ("seed", -1), ("seed", 1.5)])
+def test_bad_fields_rejected_up_front(field, value):
+    bound = {"of": "above 1 and finite", "seed": "an integer >= 0"}.get(field, "positive and finite")
+    with pytest.raises(ConfigurationError,
+                       match=re.escape(f"{field} must be {bound}, got {value!r}")):
+        SignalConfig(n_channels=1, **{field: value})
+
+
+def test_demo_with_bad_seed_creates_no_directory(tmp_path):
+    with pytest.raises(ConfigurationError, match="seed must be an integer >= 0, got -1"):
+        emit_trajectory_demo(tmp_path / "out", seed=-1)
+    assert not (tmp_path / "out").exists()
