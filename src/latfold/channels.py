@@ -9,16 +9,15 @@ quantizer, and a matched lattice quantizer on the scaled lattice
 from __future__ import annotations
 
 import math
-import numbers
 
 import numpy as np
 
-from .lattices import (ConfigurationError, ScaledLattice, _check_finite, _check_positive, fold,
-                       nearest_point)
+from .lattices import (ConfigurationError, ScaledLattice, _check_finite, _check_positive,
+                       _is_real, fold, nearest_point)
 
 
 def _check_bits(bits) -> None:
-    if isinstance(bits, bool) or not isinstance(bits, numbers.Real) or bits not in range(1, 25):
+    if not _is_real(bits) or bits not in range(1, 25):
         raise ConfigurationError(f"bits must be an integer in 1..24, got {bits!r}")
 
 

@@ -540,19 +540,17 @@ DEMO_GEOMETRIES = {"square": ZN, "hexagon": A2}
 
 
 def demo2d_config(seed: int = 0) -> SignalConfig:
-    return SignalConfig(n_channels=2, n_components=14, omega_max=10.0, of=6.0,
-                        duration=1.0, dr_factor=3.0, seed=seed, complex_pair=True)
+    return SignalConfig(n_channels=2, of=6.0, dr_factor=3.0, seed=seed, complex_pair=True)
 
 
-def _start_in_cell_signal(cfg: SignalConfig, lattice: ScaledLattice):
-    """Regenerate, at most 500 times, until the first sample folds to zero (demo anchor)."""
-    seed = cfg.seed
-    for _ in range(500):
-        f, band = make_test_signal(replace(cfg, seed=seed), lattice.lam)
-        if folds_to_zero(f[:1], lattice):
+def _start_in_cell_signal(cfg: SignalConfig, lattice: ScaledLattice, anchors: int):
+    """Redraw, at most 500 times, until the first ``anchors`` samples fold to zero: the
+    fold-free samples a recovery takes as known (1 for the demo's LASSO, N for HOD)."""
+    for k in range(500):
+        f, band = make_test_signal(replace(cfg, seed=cfg.seed + 7919 * k), lattice.lam)
+        if folds_to_zero(f[:anchors], lattice):
             return f, band
-        seed += 7919
-    raise DemoRecoveryError("no start-in-cell signal found")
+    raise DemoRecoveryError(f"no draw from seed {cfg.seed} in 500 has {anchors} fold-free samples")
 
 
 def _recover_geometry(cfg: SignalConfig, name: str, lattice: ScaledLattice):
@@ -562,7 +560,7 @@ def _recover_geometry(cfg: SignalConfig, name: str, lattice: ScaledLattice):
     entry; raises DemoRecoveryError when reconstruction misses machine
     precision.
     """
-    f, band = _start_in_cell_signal(cfg, lattice)
+    f, band = _start_in_cell_signal(cfg, lattice, 1)
     y, _ = fold_signal(f, lattice)
     if not in_voronoi_cell(lattice, y):
         raise DemoRecoveryError(f"{name}: folded samples left the cell")

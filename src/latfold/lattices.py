@@ -42,6 +42,10 @@ def _is_integer(value) -> bool:       # a Python or NumPy integer, not a bool
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
+def _is_real(value) -> bool:          # a Python or NumPy real, not a bool
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def _check_count(name: str, value, minimum: int = 1) -> None:
     """Raise ConfigurationError, naming ``name``, unless ``value`` is an integer >= ``minimum``."""
     if not (_is_integer(value) and value >= minimum):
@@ -50,7 +54,7 @@ def _check_count(name: str, value, minimum: int = 1) -> None:
 
 def _check_positive(name: str, value, above: float = 0.0) -> None:
     """Raise ConfigurationError, naming ``name``, unless ``value`` is a finite real > ``above``."""
-    if isinstance(value, bool) or not (isinstance(value, numbers.Real) and above < value < math.inf):
+    if not (_is_real(value) and above < value < math.inf):
         bound = "positive" if above == 0 else f"above {above:g}"
         raise ConfigurationError(f"{name} must be {bound} and finite, got {value!r}")
 

@@ -18,18 +18,11 @@ from typing import Optional
 import numpy as np
 
 from .lattices import (ConfigurationError, ScaledLattice, _check_count, _check_finite,
-                       nearest_point, snap_to_lattice)
+                       _check_positive, _is_integer, _is_real, nearest_point, snap_to_lattice)
 
 
 class RecoveryNumericalError(RuntimeError):
-    """Non-finite objective during iteration; carries the iteration index."""
-
-    def __init__(self, iteration: int):
-        super().__init__(f"objective became non-finite at iteration {iteration}")
-        self.iteration = iteration
-
-    def __reduce__(self):           # rebuild from the index, not the message
-        return type(self), (self.iteration,)
+    """A solver step produced a non-finite value or a singular factor."""
 
 
 @dataclass(frozen=True)
@@ -159,11 +152,11 @@ def _window_solve(R, full_rank, idx, rhs, rounds):
     from scipy.linalg.lapack import dgels      # at first use: off every command's start-up
     _, x, info = dgels(R[:, idx], rhs)
     if info != 0:
-        raise RecoveryNumericalError(rounds)
+        raise RecoveryNumericalError(f"dgels: singular factor (info {info}) in round {rounds}")
     return x[:idx.size]
 
 
-def _b2r2_lstsq(y, lattice, oob, support_margin, bound):
+def _b2r2_lstsq(y, lattice, oob, margin, bound):
     """Least squares on the unknown support, then decision feedback.
 
     Rows whose solution sits close to a lattice point are committed and
@@ -193,7 +186,6 @@ def _b2r2_lstsq(y, lattice, oob, support_margin, bound):
     matrix ``A^T A``) would square cond(A).
     """
     K = oob.K
-    margin = max(0, min(support_margin, K - 1))
     Q, R, full_rank = _window_factor(K, oob.selected_bins.tobytes(), margin)
     Fy = oob.apply(y)
     c0 = -Q.T @ np.vstack([Fy.real, Fy.imag])
@@ -209,7 +201,7 @@ def _b2r2_lstsq(y, lattice, oob, support_margin, bound):
         idx = np.flatnonzero(unknown)       # never empty: a full commit breaks
         sol = solve(idx)
         if not np.all(np.isfinite(sol)):
-            raise RecoveryNumericalError(rounds)
+            raise RecoveryNumericalError(f"non-finite least-squares solution in round {rounds}")
         q = nearest_point(sol, lattice)
         dist = np.linalg.norm(sol - q, axis=1)
         confident = dist < CONFIDENCE * lattice.lam
@@ -238,12 +230,17 @@ def b2r2_recover(y: np.ndarray, lattice: ScaledLattice, oob: OobOperator,
     sequences supported outside the fold-free prefix, then rounds to the
     lattice row-wise. The solver commits confidently-rounded rows
     between least-squares passes, which is what makes low-oversampling
-    noiseless recovery exact. ``support_margin`` is the number of leading
-    samples assumed fold-free (the time-domain search-space restriction).
-    ``bound`` is the known dynamic range: a row whose solution exceeds it
-    is not committed.
+    noiseless recovery exact. ``support_margin``, in 0..K-1, is the number of
+    leading samples assumed fold-free (the time-domain search-space
+    restriction). ``bound``, positive and finite, is the known dynamic range:
+    a row whose solution exceeds it is not committed.
     """
     _check_finite(y, "recovery input")
+    if not (_is_integer(support_margin) and 0 <= support_margin < oob.K):
+        raise ConfigurationError(
+            f"support_margin must be an integer in 0..{oob.K - 1}, got {support_margin!r}")
+    if bound is not None:
+        _check_positive("bound", bound)
     p_fix, rounds, obj = _b2r2_lstsq(y, lattice, oob, support_margin, bound)
     p_hat = snap_to_lattice(lattice, p_fix)     # rows are decoder outputs or 0
     return RecoveryResult(f_hat=y + p_hat, p_hat=p_hat, iterations=rounds, objective=obj)
@@ -271,8 +268,8 @@ def lasso_b2r2_recover(y: np.ndarray, lattice: ScaledLattice,
     inradius. ``C v`` is scaled back before it is rounded.
     """
     _check_finite(y, "recovery input")
-    if mu is not None and mu < 0:
-        raise ConfigurationError("mu must be nonnegative")
+    if mu is not None and not (_is_real(mu) and 0 <= mu < math.inf):
+        raise ConfigurationError(f"mu must be nonnegative and finite, got {mu!r}")
     K = oob.K
     exp = math.frexp(float(np.abs(y).max()))[1]
     Fy = oob.apply(np.ldexp(y, -exp))
@@ -308,7 +305,7 @@ def lasso_b2r2_recover(y: np.ndarray, lattice: ScaledLattice,
         w = v + ((t_mom - 1.0) / (t_mom + 2.0)) * (v - v_prev)
         g, quad = smooth_grad(w)
         if not math.isfinite(quad):
-            raise RecoveryNumericalError(it)
+            raise RecoveryNumericalError(f"objective became non-finite at iteration {it}")
         v_new = soft(w - g / L, mu / L)
         obj = quad + mu * float(np.abs(w).sum())
         if abs(prev_obj - obj) <= LASSO_TOL * max(obj, 1e-300):

@@ -10,6 +10,7 @@ and every generated channel has exactly zero record mean.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -22,21 +23,21 @@ class DegenerateSignalError(ValueError):
 
 @dataclass(frozen=True)
 class SignalConfig:
+    # every record has 14 components in a 10 Hz band over 1 s: constants, not fields
+    n_components: ClassVar[int] = 14
+    omega_max: ClassVar[float] = 10.0      # Hz
+    duration: ClassVar[float] = 1.0        # seconds
+
     n_channels: int
-    n_components: int = 14
-    omega_max: float = 10.0        # Hz
     of: float = 6.0                # oversampling factor, > 1
-    duration: float = 1.0          # seconds
     dr_factor: float = 3.0         # gamma = peak amplitude / lam
     seed: int = 0
     complex_pair: bool = False     # 2 channels = Re/Im of a complex signal
 
     def __post_init__(self):
         _check_count("n_channels", self.n_channels)
-        _check_count("n_components", self.n_components)
         _check_count("seed", self.seed, 0)
-        for name in ("omega_max", "duration", "dr_factor"):
-            _check_positive(name, getattr(self, name))
+        _check_positive("dr_factor", self.dr_factor)
         _check_positive("of", self.of, 1)
         if self.complex_pair and self.n_channels != 2:
             raise ConfigurationError(f"complex_pair needs n_channels 2, got {self.n_channels!r}")

@@ -59,7 +59,7 @@ FIXED_KNOB_SIGNATURES = {
                                        "lam", "leak_amp"],
     latfold.experiments.draw_margin_trial: ["seed_seq", "lattice", "n_ch", "K", "m_max",
                                             "margin", "gamma", "leak_amp"],
-    latfold.experiments._start_in_cell_signal: ["cfg", "lattice"],
+    latfold.experiments._start_in_cell_signal: ["cfg", "lattice", "anchors"],
 }
 
 # The sweep's settable surface: the config fields and the long options of
@@ -72,6 +72,10 @@ SWEEP_OPTIONS = [
     "--algorithm", "--config", "--dump-config", "--format",
     "--help", "--order", "--out", "--preset", "--seed", "--trials",
 ]
+
+# The fields a caller sets on a test signal; the band, the component count
+# and the duration are class constants.
+SIGNAL_CONFIG_FIELDS = ["n_channels", "of", "dr_factor", "seed", "complex_pair"]
 
 
 def test_public_api():
@@ -111,15 +115,11 @@ def _zn(n: int):
     (lambda: latfold.estimate_second_moment(_zn(1), 1e5, 0),
      "n_samples must be an integer >= 10000, got 100000.0"),
     (lambda: latfold.table1_report(1e5), "n_samples must be an integer >= 10000, got 100000.0"),
-    (lambda: latfold.SignalConfig(n_channels=1, n_components=0),
-     "n_components must be an integer >= 1, got 0"),
-    (lambda: latfold.SignalConfig(n_channels=1, n_components=2.5),
-     "n_components must be an integer >= 1, got 2.5"),
     (lambda: latfold.SignalConfig(n_channels=0), "n_channels must be an integer >= 1, got 0"),
     (lambda: latfold.sample_uniform_cell(_zn(2), np.random.default_rng(0), 2.7),
      "size must be an integer >= 1, got 2.7"),
 ], ids=["hod_order_float", "hod_order_bool", "second_moment_samples", "table1_samples",
-        "signal_components_0", "signal_components_float", "signal_channels_0",
+        "signal_channels_0",
         "sample_cell_size_float"])
 def test_counts_are_checked_up_front(call, named):
     # a bool, a float or a count below the minimum fails at once, naming the parameter
@@ -130,6 +130,14 @@ def test_counts_are_checked_up_front(call, named):
 def test_experiment_config_fields():
     fields = [f.name for f in dataclasses.fields(latfold.ExperimentConfig)]
     assert fields == EXPERIMENT_CONFIG_FIELDS
+
+
+def test_signal_config_fields():
+    assert [f.name for f in dataclasses.fields(latfold.SignalConfig)] == SIGNAL_CONFIG_FIELDS
+    cfg = latfold.SignalConfig(n_channels=1)
+    assert (cfg.n_components, cfg.omega_max, cfg.duration) == (14, 10.0, 1.0)
+    with pytest.raises(TypeError):
+        latfold.SignalConfig(n_channels=1, omega_max=5.0)
 
 
 def test_sweep_options(capsys):
@@ -155,11 +163,10 @@ def test_every_exception_survives_pickling():
     classes = _exception_classes()
     assert {"DemoRecoveryError", "RecoveryNumericalError"} <= {c.__name__ for c in classes}
     for cls in classes:
-        exc = cls(7) if cls is latfold.RecoveryNumericalError else cls("bad value 7")
+        exc = cls("bad value 7")
         back = pickle.loads(pickle.dumps(exc))
         assert type(back) is cls
         assert (str(back), back.args, vars(back)) == (str(exc), exc.args, vars(exc))
-    assert pickle.loads(pickle.dumps(latfold.RecoveryNumericalError(7))).iteration == 7
 
 
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")

@@ -10,10 +10,11 @@ import threading
 import numpy as np
 import pytest
 
-from latfold import (E8, ConfigurationError, ExperimentConfig,
+from latfold import (E8, ConfigurationError, ExperimentConfig, fold_signal, make_lattice,
                      emit_tables, run_sweep, table3_config, table4_config)
 from latfold.cli import main
-from latfold.experiments import (DemoRecoveryError, concentration_modes, demo_power_ratio,
+from latfold.experiments import (DEMO_GEOMETRIES, DemoRecoveryError, _start_in_cell_signal,
+                                 concentration_modes, demo2d_config, demo_power_ratio,
                                  emit_trajectory_demo, quantize_bench, trial_seed)
 
 
@@ -614,6 +615,26 @@ def test_quantize_bench_values():
 def test_demo_power_ratio_matches_second_moment():
     ratio = demo_power_ratio(lam=1.0, n_trials=60, seed=0)
     assert ratio == pytest.approx(5.0 / 6.0, abs=0.03)
+
+
+def test_start_in_cell_signal_anchors():
+    # the first `anchors` samples fold to zero; with one anchor the draws are
+    # the demo's (seeds 0 and 3 redraw), pinned by a digest of the records
+    digest = hashlib.sha256()
+    for family in DEMO_GEOMETRIES.values():
+        lat = make_lattice(family, 2, 1.0)
+        for seed in (0, 3, 7, 39):
+            for anchors in (1, 2, 3):
+                f, band = _start_in_cell_signal(demo2d_config(seed), lat, anchors)
+                assert not fold_signal(f[:anchors], lat)[1].any()
+                if anchors == 1:
+                    digest.update(f.tobytes() + repr(band).encode())
+    assert digest.hexdigest() == \
+        "e48645b3806df4ab4d3dd07f744edf366b0bb893a2368946e7bf61ad5b43b332"
+    # peak 3 lam is outside the square's cell, so no whole record folds to zero
+    square = make_lattice(DEMO_GEOMETRIES["square"], 2, 1.0)
+    with pytest.raises(DemoRecoveryError, match="no draw from seed 5 in 500 has 120 fold-free"):
+        _start_in_cell_signal(demo2d_config(5), square, 120)
 
 
 def test_demo2d_outputs(tmp_path):
